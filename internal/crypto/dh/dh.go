@@ -11,6 +11,7 @@ import (
 	"errors"
 	"io"
 	"math/big"
+	"sync"
 
 	"repro/internal/crypto/mp"
 )
@@ -37,24 +38,32 @@ func Oakley2() *Group {
 	return &Group{Name: "modp1024", P: p, G: big.NewInt(2)}
 }
 
-// testGroup512Hex is a 512-bit safe prime used by the fast test group.
-// p = 2q+1 with q prime; generated once offline with this package's own
-// prime search and frozen here for reproducibility.
-var testGroupOnce *Group
+// testGroupCache holds the group TestGroup512 generates; testGroupMu orders
+// its first write before every read.
+var (
+	testGroupMu    sync.Mutex
+	testGroupCache *Group
+)
 
 // TestGroup512 returns a small safe-prime group for fast tests and
 // examples. Not for real security margins — the paper's own protocols of
 // 2003 used 512-768 bit "export" moduli in exactly this spirit.
+//
+// The group is searched for once and cached: the first caller's rng fixes
+// it, and later callers get the same group whatever rng they pass. A
+// failed search caches nothing, so the next caller searches again. Safe
+// for concurrent use; concurrent first callers wait for one search.
 func TestGroup512(rng io.Reader) (*Group, error) {
-	if testGroupOnce != nil {
-		return testGroupOnce, nil
+	testGroupMu.Lock()
+	defer testGroupMu.Unlock()
+	if testGroupCache == nil {
+		g, err := generateSafeGroup(rng, 512)
+		if err != nil {
+			return nil, err
+		}
+		testGroupCache = g
 	}
-	g, err := generateSafeGroup(rng, 512)
-	if err != nil {
-		return nil, err
-	}
-	testGroupOnce = g
-	return g, nil
+	return testGroupCache, nil
 }
 
 func generateSafeGroup(rng io.Reader, bits int) (*Group, error) {

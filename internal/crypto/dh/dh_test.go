@@ -2,7 +2,9 @@ package dh
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
+	"sync"
 	"testing"
 
 	"repro/internal/crypto/mp"
@@ -121,5 +123,55 @@ func BenchmarkSharedSecret512(b *testing.B) {
 		if _, err := alice.SharedSecret(bob.Public, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestGroup512Concurrent: concurrent first callers share one search and
+// one group, and the first caller's rng fixes it. Run under -race it
+// proves the cache is synchronised.
+func TestGroup512Concurrent(t *testing.T) {
+	testGroupMu.Lock()
+	testGroupCache = nil
+	testGroupMu.Unlock()
+	const callers = 8
+	groups := make([]*Group, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			g, err := TestGroup512(prng.NewDRBG([]byte("dh-group")))
+			if err != nil {
+				t.Errorf("caller %d: %v", i, err)
+			}
+			groups[i] = g
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range groups {
+		if g == nil || g != groups[0] {
+			t.Fatalf("caller %d got group %p, caller 0 got %p", i, g, groups[0])
+		}
+	}
+	if later, err := TestGroup512(prng.NewDRBG([]byte("another seed"))); err != nil || later != groups[0] {
+		t.Fatalf("a later caller's rng replaced the cached group (%v)", err)
+	}
+}
+
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, errors.New("rng down") }
+
+// TestGroup512FailureNotCached: a failed search leaves the cache empty,
+// so the next caller searches with its own rng.
+func TestGroup512FailureNotCached(t *testing.T) {
+	testGroupMu.Lock()
+	testGroupCache = nil
+	testGroupMu.Unlock()
+	if _, err := TestGroup512(failingReader{}); err == nil {
+		t.Fatal("a failing rng produced a group")
+	}
+	if g, err := TestGroup512(prng.NewDRBG([]byte("dh-group"))); err != nil || g == nil {
+		t.Fatalf("search after a failure: %v", err)
 	}
 }

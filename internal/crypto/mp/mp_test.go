@@ -3,6 +3,7 @@ package mp
 import (
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -349,11 +350,137 @@ func TestTracedZeroExponent(t *testing.T) {
 }
 
 func TestNewMontCtxEvenAfterValidation(t *testing.T) {
-	// Covers the ModInverse-failure branch defensively (even modulus is
-	// caught earlier, so construct an odd modulus that is fine and just
-	// assert success path fields).
+	// The smallest accepted shape: a one-word odd modulus, whose single
+	// REDC step is the 32-bit one.
 	ctx, err := NewMontCtx(big.NewInt(9))
 	if err != nil || ctx.Words() != 1 {
 		t.Fatalf("ctx for 9: %v", err)
+	}
+}
+
+// refREDC is the textbook Montgomery reduction over math/big with
+// R = 2^(32·words): u = (t + (t·(−N^{-1}) mod R)·N)/R, then one
+// conditional subtraction. It is the reference the limb kernel must match
+// in value and extra-reduction flag.
+func refREDC(n *big.Int, words int, t *big.Int) (*big.Int, bool) {
+	rbits := uint(words * WordBits)
+	r := new(big.Int).Lsh(big.NewInt(1), rbits)
+	mask := new(big.Int).Sub(r, big.NewInt(1))
+	nPrime := new(big.Int).Sub(r, new(big.Int).ModInverse(n, r))
+	m := new(big.Int).And(t, mask)
+	m.Mul(m, nPrime).And(m, mask)
+	u := new(big.Int).Mul(m, n)
+	u.Add(u, t).Rsh(u, rbits)
+	extra := u.Cmp(n) >= 0
+	if extra {
+		u.Sub(u, n)
+	}
+	return u, extra
+}
+
+// FuzzMontMul diffs MulMont against refREDC over moduli of odd and even
+// 32-bit word counts, including operands near N that force the extra
+// reduction.
+func FuzzMontMul(f *testing.F) {
+	for _, size := range []int{1, 4, 5, 8, 12, 20, 24, 32, 33, 64, 100, 128} {
+		n := make([]byte, size)
+		a := make([]byte, size)
+		b := make([]byte, size)
+		for i := range n {
+			n[i] = byte(7*i + 3)
+			a[i] = 0xff
+			b[i] = byte(251 - i)
+		}
+		f.Add(n, a, b)
+	}
+	f.Fuzz(func(t *testing.T, nb, ab, bb []byte) {
+		if len(nb) > 160 {
+			nb = nb[:160]
+		}
+		n := new(big.Int).SetBytes(nb)
+		n.SetBit(n, 0, 1)
+		if n.BitLen() < 2 {
+			n.SetInt64(3)
+		}
+		ctx, err := NewMontCtx(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := new(big.Int).Mod(new(big.Int).SetBytes(ab), n)
+		b := new(big.Int).Mod(new(big.Int).SetBytes(bb), n)
+		got, gotExtra := ctx.MulMont(a, b)
+		want, wantExtra := refREDC(n, ctx.Words(), new(big.Int).Mul(a, b))
+		if got.Cmp(want) != 0 || gotExtra != wantExtra {
+			t.Fatalf("MulMont(%x, %x) mod %x (%d words) = %x extra=%v, want %x extra=%v",
+				a, b, n, ctx.Words(), got, gotExtra, want, wantExtra)
+		}
+	})
+}
+
+// TestSharedCtxConcurrent: one MontCtx serves many goroutines at once, as
+// in the gateway's workers and the timing attack's par.ForN. Run under
+// -race it proves the kernel keeps no per-call state in the context.
+func TestSharedCtxConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	n := randOddModulus(rng, 160)
+	ctx, _ := NewMontCtx(n)
+	const workers = 8
+	bases := make([]*big.Int, workers)
+	exps := make([]*big.Int, workers)
+	for i := range bases {
+		bases[i] = new(big.Int).Rand(rng, n)
+		exps[i] = new(big.Int).Rand(rng, n)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			want := new(big.Int).Exp(bases[w], exps[w], n)
+			for i := 0; i < 20; i++ {
+				var m CycleMeter
+				if got := ctx.ModExpWindow(bases[w], exps[w], &m); got.Cmp(want) != 0 {
+					t.Errorf("worker %d: ModExpWindow mismatch", w)
+					return
+				}
+				if got, _ := ctx.ModExpWithTrace(bases[w], exps[w], &m); got.Cmp(want) != 0 {
+					t.Errorf("worker %d: ModExpWithTrace mismatch", w)
+					return
+				}
+				if got := ctx.ModExpConstTime(bases[w], exps[w], &m); got.Cmp(want) != 0 {
+					t.Errorf("worker %d: ModExpConstTime mismatch", w)
+					return
+				}
+				p, _ := ctx.MulMont(ctx.ToMont(bases[w]), ctx.One())
+				if ctx.FromMont(p).Cmp(bases[w]) != 0 {
+					t.Errorf("worker %d: Montgomery roundtrip mismatch", w)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestModExpWindowAllocs pins the allocation-free core: the window
+// exponentiation allocates a fixed handful of objects (working limbs and
+// the result), the same for a 256- and a 512-bit exponent.
+func TestModExpWindowAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	n := randOddModulus(rng, 512)
+	ctx, _ := NewMontCtx(n)
+	base := new(big.Int).Rand(rng, n)
+	var allocs [2]float64
+	for i, bits := range []uint{256, 512} {
+		exp := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), bits))
+		exp.SetBit(exp, int(bits)-1, 1)
+		var m CycleMeter
+		allocs[i] = testing.AllocsPerRun(20, func() { ctx.ModExpWindow(base, exp, &m) })
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("ModExpWindow allocs depend on exponent length: %v at 256 bits, %v at 512", allocs[0], allocs[1])
+	}
+	if allocs[1] > 8 {
+		t.Fatalf("ModExpWindow allocates %v objects per call, want <= 8", allocs[1])
 	}
 }

@@ -3,6 +3,7 @@ package rsa
 import (
 	"bytes"
 	"math/big"
+	"sync"
 	"testing"
 
 	"repro/internal/crypto/mp"
@@ -244,5 +245,74 @@ func BenchmarkSignCRT512(b *testing.B) {
 		if _, err := SignPKCS1(k, "sha1", digest[:], nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSharedKeyConcurrent: eight goroutines sign, verify and decrypt with
+// one PrivateKey and exponentiate on one shared MontCtx at once, as a
+// gateway's workers do. Run under -race it proves neither keeps per-call
+// state.
+func TestSharedKeyConcurrent(t *testing.T) {
+	k := testKey(t, 512)
+	ctx, err := mp.NewMontCtx(k.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := big.NewInt(k.E)
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := prng.NewDRBG([]byte{byte(w)})
+			opts := []*Options{nil, {NoCRT: true}, {ConstantTime: true},
+				{Blinding: true, Rand: rng, VerifyAfterSign: true}}
+			for i := 0; i < 4; i++ {
+				digest := sha1.Sum([]byte{byte(w), byte(i)})
+				sig, err := SignPKCS1(k, "sha1", digest[:], opts[i])
+				if err != nil {
+					t.Errorf("worker %d: sign: %v", w, err)
+					return
+				}
+				if err := VerifyPKCS1(&k.PublicKey, "sha1", digest[:], sig); err != nil {
+					t.Errorf("worker %d: verify: %v", w, err)
+					return
+				}
+				s := new(big.Int).SetBytes(sig)
+				if got, want := ctx.ModExpWindow(s, e, nil), new(big.Int).Exp(s, e, k.N); got.Cmp(want) != 0 {
+					t.Errorf("worker %d: shared-context exponentiation mismatch", w)
+					return
+				}
+				msg := []byte{byte(w), byte(i), 0x5a}
+				ct, err := EncryptPKCS1(rng, &k.PublicKey, msg)
+				if err != nil {
+					t.Errorf("worker %d: encrypt: %v", w, err)
+					return
+				}
+				pt, err := DecryptPKCS1(k, ct, opts[i])
+				if err != nil || !bytes.Equal(pt, msg) {
+					t.Errorf("worker %d: decrypt = %x, %v; want %x", w, pt, err, msg)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestSignCRT512Allocs bounds the allocations of one CRT signature, the
+// server's per-handshake RSA cost: the Montgomery core allocates only its
+// working limbs, so the count no longer grows with the operand length.
+func TestSignCRT512Allocs(t *testing.T) {
+	k := testKey(t, 512)
+	digest := sha1.Sum([]byte("allocs"))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := SignPKCS1(k, "sha1", digest[:], nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("SignPKCS1 (CRT, 512-bit) allocates %v objects, want <= 100", allocs)
 	}
 }

@@ -134,6 +134,15 @@ func TestGatewaySessionWideEvent(t *testing.T) {
 	}
 	echoOnce(t, tc, "one echoed record")
 	tc.Close()
+	// Let the worker read the client's EOF before draining; a Shutdown
+	// that lands between the echo write and that read ends the session
+	// as "drain" instead.
+	for deadline := time.Now().Add(3 * time.Second); env.srv.Stats().SessionsDone == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("session never finished after the client closed")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := env.srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
