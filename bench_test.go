@@ -423,48 +423,23 @@ func BenchmarkAdaptiveLifetime(b *testing.B) {
 // paper's embedded cores, not to this host; see DESIGN.md).
 func BenchmarkCipherThroughput(b *testing.B) {
 	buf := make([]byte, 4096)
-	b.Run("3des-cbc", func(b *testing.B) {
-		c, err := des.NewTripleCipher(make([]byte, 24))
-		if err != nil {
-			b.Fatal(err)
-		}
-		iv := make([]byte, 8)
-		b.SetBytes(4096)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := modes.EncryptCBC(c, iv, buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("des-cbc", func(b *testing.B) {
-		c, err := des.NewCipher(make([]byte, 8))
-		if err != nil {
-			b.Fatal(err)
-		}
-		iv := make([]byte, 8)
-		b.SetBytes(4096)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := modes.EncryptCBC(c, iv, buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("aes128-cbc", func(b *testing.B) {
-		c, err := aes.NewCipher(make([]byte, 16))
-		if err != nil {
-			b.Fatal(err)
-		}
-		iv := make([]byte, 16)
-		b.SetBytes(4096)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := modes.EncryptCBC(c, iv, buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	tdes, err := des.NewTripleCipher(make([]byte, 24))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sdes, err := des.NewCipher(make([]byte, 8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	aes128, err := aes.NewCipher(make([]byte, 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("3des-cbc", func(b *testing.B) { benchCBC(b, tdes, modes.EncryptCBC, buf) })
+	b.Run("3des-cbc-dec", func(b *testing.B) { benchCBC(b, tdes, modes.DecryptCBC, buf) })
+	b.Run("des-cbc", func(b *testing.B) { benchCBC(b, sdes, modes.EncryptCBC, buf) })
+	b.Run("aes128-cbc", func(b *testing.B) { benchCBC(b, aes128, modes.EncryptCBC, buf) })
+	b.Run("aes128-cbc-dec", func(b *testing.B) { benchCBC(b, aes128, modes.DecryptCBC, buf) })
 	b.Run("rc4", func(b *testing.B) {
 		c, err := rc4.NewCipher(make([]byte, 16))
 		if err != nil {
@@ -490,6 +465,18 @@ func BenchmarkCipherThroughput(b *testing.B) {
 			md5.Sum(buf)
 		}
 	})
+}
+
+// benchCBC runs one CBC direction of c over buf with a zero IV.
+func benchCBC(b *testing.B, c modes.Block, crypt func(modes.Block, []byte, []byte) ([]byte, error), buf []byte) {
+	iv := make([]byte, c.BlockSize())
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := crypt(c, iv, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkB4PacketEngineQueue runs the Section 4.2.3 queueing

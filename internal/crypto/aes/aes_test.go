@@ -81,6 +81,79 @@ func TestAgainstStdlib(t *testing.T) {
 			if !bytes.Equal(back, pt) {
 				t.Fatalf("AES-%d: roundtrip failed", klen*8)
 			}
+			// Decrypt on its own: a random ciphertext, not one we made.
+			ct := make([]byte, 16)
+			rng.Read(ct)
+			ours.Decrypt(got, ct)
+			ref.Decrypt(want, ct)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("AES-%d key %x: decrypt mismatch on %x", klen*8, key, ct)
+			}
+		}
+	}
+}
+
+// FuzzAgainstStdlib compares Encrypt and Decrypt with crypto/aes, out of
+// place and in place. The first input byte picks the key size; the next
+// bytes are the key and then the block, zero-padded when short.
+func FuzzAgainstStdlib(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add(append([]byte{1}, bytes.Repeat([]byte{0xa5}, 40)...))
+	f.Add(append([]byte{2}, bytes.Repeat([]byte{0xff}, 48)...))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var buf [1 + 32 + BlockSize]byte
+		copy(buf[:], in)
+		klen := 16 + 8*int(buf[0]%3)
+		key, block := buf[1:1+klen], buf[1+klen:1+klen+BlockSize]
+		ours, err := NewCipher(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := stdaes.NewCipher(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range []struct {
+			name      string
+			ours, ref func(dst, src []byte)
+		}{
+			{"encrypt", ours.Encrypt, ref.Encrypt},
+			{"decrypt", ours.Decrypt, ref.Decrypt},
+		} {
+			want := make([]byte, BlockSize)
+			dir.ref(want, block)
+			got := make([]byte, BlockSize)
+			dir.ours(got, block)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("AES-%d %s(%x) = %x, want %x", klen*8, dir.name, block, got, want)
+			}
+			inPlace := append([]byte(nil), block...)
+			dir.ours(inPlace, inPlace)
+			if !bytes.Equal(inPlace, want) {
+				t.Fatalf("AES-%d in-place %s(%x) = %x, want %x", klen*8, dir.name, block, inPlace, want)
+			}
+		}
+	})
+}
+
+// TestCipherAllocs pins the block operations at zero allocations and
+// NewCipher at one: the Cipher itself, which holds its round keys.
+func TestCipherAllocs(t *testing.T) {
+	key := make([]byte, 32)
+	c, err := NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, BlockSize)
+	if n := testing.AllocsPerRun(100, func() { c.Encrypt(buf, buf) }); n != 0 {
+		t.Errorf("Encrypt allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Decrypt(buf, buf) }); n != 0 {
+		t.Errorf("Decrypt allocates %v times, want 0", n)
+	}
+	for _, klen := range []int{16, 24, 32} {
+		if n := testing.AllocsPerRun(100, func() { c, _ = NewCipher(key[:klen]) }); n != 1 {
+			t.Errorf("NewCipher(%d-byte key) allocates %v times, want 1", klen, n)
 		}
 	}
 }
@@ -160,5 +233,14 @@ func BenchmarkEncrypt(b *testing.B) {
 	b.SetBytes(16)
 	for i := 0; i < b.N; i++ {
 		c.Encrypt(buf, buf)
+	}
+}
+
+func BenchmarkDecrypt(b *testing.B) {
+	c, _ := NewCipher(make([]byte, 16))
+	buf := make([]byte, 16)
+	b.SetBytes(16)
+	for i := 0; i < b.N; i++ {
+		c.Decrypt(buf, buf)
 	}
 }

@@ -950,14 +950,17 @@ func (c *Conn) Write(p []byte) (int, error) {
 // Read returns application data, running the handshake if needed. When a
 // burst of application records is already buffered (one transport read
 // pulled in several), they are decrypted as one OpenBatch call with a
-// single metrics update; the batch never waits for more wire data. Safe
-// for concurrent use; concurrent readers are served one at a time.
+// single metrics update; the batch never waits for more wire data. More
+// than maxEmptyRecords consecutive application records that yield no
+// data fail the read with AlertUnexpectedMessage. Safe for concurrent
+// use; concurrent readers are served one at a time.
 func (c *Conn) Read(p []byte) (int, error) {
 	if err := c.Handshake(); err != nil {
 		return 0, err
 	}
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
+	empty := 0
 	for c.readOff == len(c.readBuf) {
 		c.readBuf = c.readBuf[:0]
 		c.readOff = 0
@@ -987,6 +990,12 @@ func (c *Conn) Read(p []byte) (int, error) {
 			payload, err := c.in.OpenBatch(recordApplicationData, frags)
 			if err != nil {
 				return 0, c.fail(AlertBadRecordMAC, err)
+			}
+			if len(payload) == 0 {
+				if empty += len(frags); empty > maxEmptyRecords {
+					return 0, c.fail(AlertUnexpectedMessage,
+						fmt.Errorf("wtls: %d consecutive empty application records", empty))
+				}
 			}
 			c.readBuf = append(c.readBuf, payload...)
 			c.mmu.Lock()

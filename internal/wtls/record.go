@@ -57,16 +57,23 @@ const maxRecordsPerBatch = 8
 // and rejected before any record is buffered toward it.
 const maxHandshakeMsg = 1 << 16
 
+// maxEmptyRecords bounds the consecutive application records that one
+// Read may open without yielding a byte (crypto/tls uses the same bound).
+// Without it a peer streaming valid zero-length records pins the reader
+// and burns MAC and cipher work indefinitely.
+const maxEmptyRecords = 16
+
 // Alert levels and descriptions (the subset this stack emits).
 const (
 	alertLevelWarning uint8 = 1
 	alertLevelFatal   uint8 = 2
 
-	AlertCloseNotify     uint8 = 0
-	AlertBadRecordMAC    uint8 = 20
-	AlertHandshakeFailed uint8 = 40
-	AlertBadCertificate  uint8 = 42
-	AlertDecryptError    uint8 = 51
+	AlertCloseNotify       uint8 = 0
+	AlertUnexpectedMessage uint8 = 10
+	AlertBadRecordMAC      uint8 = 20
+	AlertHandshakeFailed   uint8 = 40
+	AlertBadCertificate    uint8 = 42
+	AlertDecryptError      uint8 = 51
 )
 
 // AlertError is a fatal alert received from the peer.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"time"
 
 	"repro/internal/crypto/dh"
 	"repro/internal/crypto/prng"
@@ -350,6 +351,60 @@ func TestCloseNotify(t *testing.T) {
 	}
 	if _, err := client.Write([]byte("x")); err == nil {
 		t.Fatal("write after close succeeded")
+	}
+}
+
+// TestEmptyRecordFlood scripts a peer that sends valid zero-length
+// application records: more than maxEmptyRecords in a row fail the
+// reader with AlertUnexpectedMessage, and exactly that many followed by
+// data still deliver the data.
+func TestEmptyRecordFlood(t *testing.T) {
+	for _, tc := range []struct {
+		empties int
+		data    string
+		wantErr bool
+	}{
+		{maxEmptyRecords + 1, "", true},
+		{maxEmptyRecords, "after the flood", false},
+	} {
+		client, server, _ := handshakePair(t, clientConfig(t), serverConfig(t))
+		for i := 0; i < tc.empties; i++ {
+			if err := client.writeRecordOut(recordApplicationData, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.data != "" {
+			if _, err := client.Write([]byte(tc.data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([]byte, 64)
+		var n int
+		var err error
+		read := make(chan struct{})
+		go func() {
+			n, err = server.Read(buf)
+			close(read)
+		}()
+		select {
+		case <-read:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d empty records: Read still blocked", tc.empties)
+		}
+		if !tc.wantErr {
+			if err != nil || string(buf[:n]) != tc.data {
+				t.Fatalf("%d empty records then data: Read = %q, %v; want %q", tc.empties, buf[:n], err, tc.data)
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatalf("%d empty records: Read returned %q, want an error", tc.empties, buf[:n])
+		}
+		// The server aborted with unexpected_message.
+		var alert *AlertError
+		if _, err := client.Read(buf); !errors.As(err, &alert) || alert.Description != AlertUnexpectedMessage {
+			t.Fatalf("client saw %v, want alert %d", err, AlertUnexpectedMessage)
+		}
 	}
 }
 
