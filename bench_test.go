@@ -271,8 +271,22 @@ func BenchmarkA4WEPAttacks(b *testing.B) {
 }
 
 // BenchmarkWTLSHandshake measures the real (wall-clock) cost of a full
-// WTLS handshake on this machine, per suite family.
+// WTLS handshake on this machine, client and server together.
 func BenchmarkWTLSHandshake(b *testing.B) {
+	benchHandshakes(b, nil, nil)
+}
+
+// BenchmarkWTLSHandshakeResumed measures an abbreviated handshake that
+// resumes a cached session. It does no RSA work, so the DRBG, the PRF and
+// the Finished MACs set its cost.
+func BenchmarkWTLSHandshakeResumed(b *testing.B) {
+	benchHandshakes(b, NewSessionCache(), NewSessionCache())
+}
+
+// benchHandshakes runs one client+server handshake per iteration over an
+// in-memory pipe. With caches, one untimed full handshake primes them and
+// every timed one must resume.
+func benchHandshakes(b *testing.B, clientCache, serverCache *SessionCache) {
 	ca, err := NewCA("BenchRoot", NewDRBG([]byte("bench-ca")), 512)
 	if err != nil {
 		b.Fatal(err)
@@ -285,18 +299,19 @@ func BenchmarkWTLSHandshake(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	handshake := func(i int, wantResumed bool) {
 		cp, sp := newBenchPipe()
 		client := WTLSClient(cp, &Config{
-			Rand:       NewDRBG([]byte{byte(i)}),
-			RootCA:     &ca.Key.PublicKey,
-			ServerName: "bench.example",
+			Rand:         NewDRBG([]byte{byte(i)}),
+			RootCA:       &ca.Key.PublicKey,
+			ServerName:   "bench.example",
+			SessionCache: clientCache,
 		})
 		server := WTLSServer(sp, &Config{
-			Rand:        NewDRBG([]byte{byte(i), 1}),
-			Certificate: cert,
-			PrivateKey:  key,
+			Rand:         NewDRBG([]byte{byte(i), 1}),
+			Certificate:  cert,
+			PrivateKey:   key,
+			SessionCache: serverCache,
 		})
 		errCh := make(chan error, 1)
 		go func() { errCh <- server.Handshake() }()
@@ -306,6 +321,17 @@ func BenchmarkWTLSHandshake(b *testing.B) {
 		if err := <-errCh; err != nil {
 			b.Fatal(err)
 		}
+		if client.State().Resumed != wantResumed {
+			b.Fatalf("handshake %d: resumed = %v, want %v", i, !wantResumed, wantResumed)
+		}
+	}
+	resume := clientCache != nil
+	if resume {
+		handshake(-1, false)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		handshake(i, resume)
 	}
 }
 

@@ -43,11 +43,14 @@ type Result struct {
 // snapshot (or the bench/history.jsonl entry derived from it) is
 // traceable long after the working tree moves on.
 type Snapshot struct {
-	Date        string `json:"date"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	BenchTime   string `json:"benchtime"`
+	Date      string `json:"date"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	BenchTime string `json:"benchtime"`
+	// NumCPU is the host's logical core count; rungs that run in
+	// parallel (the aggregate benchmark) scale with it.
+	NumCPU      int    `json:"num_cpu,omitempty"`
 	Commit      string `json:"commit"`
 	Fingerprint string `json:"config_fingerprint"`
 	// SLOFired counts the slo_fired events in the run journal given via
@@ -141,6 +144,7 @@ func run(benchRe, benchtime, pkg string, count int) (*Snapshot, string, error) {
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		BenchTime:   benchtime,
+		NumCPU:      runtime.NumCPU(),
 		Commit:      history.Commit(),
 		Fingerprint: history.Fingerprint(benchRe, benchtime, pkg, strconv.Itoa(count), runtime.GOOS, runtime.GOARCH),
 		Results:     map[string]Result{},
@@ -235,6 +239,7 @@ func historyRecord(s *Snapshot) history.Record {
 		Source:      "benchreg",
 		Commit:      s.Commit,
 		GoVersion:   s.GoVersion,
+		NumCPU:      s.NumCPU,
 		Fingerprint: s.Fingerprint,
 		Headline:    head,
 	}

@@ -145,13 +145,116 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func BenchmarkHMACSHA1_1K(b *testing.B) {
-	h := New(ourSHA1, make([]byte, 20))
-	buf := make([]byte, 1024)
-	b.SetBytes(1024)
-	for i := 0; i < b.N; i++ {
-		h.Reset()
-		h.Write(buf)
-		h.Sum(nil)
+// FuzzAgainstStdlib diffs HMAC-SHA-1 and HMAC-MD5 against crypto/hmac
+// over split writes, a Reset mid-stream, repeated Sums, writes after a
+// Sum and a re-key. The seed corpus covers every key length 0-130, so
+// keys shorter than, equal to and longer than the block size all run
+// under plain go test.
+func FuzzAgainstStdlib(f *testing.F) {
+	for n := 0; n <= 130; n++ {
+		f.Add(uint8(n), []byte("what do ya want for nothing?"), uint8(n))
+	}
+	f.Add(uint8(64), bytes.Repeat([]byte{0xaa}, 200), uint8(64))
+	f.Fuzz(func(t *testing.T, keyLen uint8, msg []byte, split uint8) {
+		key := make([]byte, int(keyLen)%131)
+		for i := range key {
+			key[i] = byte(i*7) ^ keyLen
+		}
+		cut := int(split) % (len(msg) + 1)
+		rekey := msg[:min(len(msg), 130)]
+		hashes := []struct {
+			name      string
+			ours, ref func() hash.Hash
+		}{
+			{"sha1", ourSHA1, stdsha1.New},
+			{"md5", ourMD5, stdmd5.New},
+		}
+		for _, hh := range hashes {
+			check := func(step string, got, want []byte) {
+				t.Helper()
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s key %d bytes, msg %d bytes, %s: got %x, want %x",
+						hh.name, len(key), len(msg), step, got, want)
+				}
+			}
+			h := New(hh.ours, key)
+			ref := stdhmac.New(hh.ref, key)
+			h.Write(msg[cut:])
+			h.Reset()
+			h.Write(msg[:cut])
+			h.Write(msg[cut:])
+			ref.Write(msg)
+			want := ref.Sum(nil)
+			check("split write after Reset", h.Sum(nil), want)
+			check("repeated Sum", h.Sum(nil), want)
+
+			h.Write(msg[:cut])
+			ref.Write(msg[:cut])
+			check("write after Sum", h.Sum([]byte("prefix"))[6:], ref.Sum(nil))
+
+			h.SetKey(rekey)
+			ref = stdhmac.New(hh.ref, rekey)
+			h.Write(msg)
+			ref.Write(msg)
+			check("re-key", h.Sum(nil), ref.Sum(nil))
+		}
+	})
+}
+
+// TestHMACAllocs pins the keyed path at zero allocations: a MAC into a
+// buffer with room, and a re-key, short key or long.
+func TestHMACAllocs(t *testing.T) {
+	for _, hh := range []struct {
+		name string
+		h    func() hash.Hash
+	}{{"sha1", ourSHA1}, {"md5", ourMD5}} {
+		h := New(hh.h, []byte("key"))
+		msg := make([]byte, 64)
+		buf := make([]byte, 0, h.Size())
+		if n := testing.AllocsPerRun(100, func() {
+			h.Reset()
+			h.Write(msg)
+			buf = h.Sum(buf[:0])
+		}); n != 0 {
+			t.Errorf("%s Reset+Write+Sum: %v allocs, want 0", hh.name, n)
+		}
+		short, long := make([]byte, 20), make([]byte, 100)
+		if n := testing.AllocsPerRun(100, func() {
+			h.SetKey(short)
+			h.SetKey(long)
+		}); n != 0 {
+			t.Errorf("%s SetKey: %v allocs, want 0", hh.name, n)
+		}
+	}
+}
+
+func TestNewRejectsForeignHash(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a hash that cannot copy its state")
+		}
+	}()
+	New(stdsha1.New, nil)
+}
+
+// BenchmarkHMACSHA1 is the keyed-hash rung: one MAC, key already set,
+// over a record-sized and a bulk-sized message.
+func BenchmarkHMACSHA1(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"64B", 64}, {"1KiB", 1024}} {
+		b.Run(size.name, func(b *testing.B) {
+			h := New(ourSHA1, make([]byte, 20))
+			msg := make([]byte, size.n)
+			buf := make([]byte, 0, h.Size())
+			b.SetBytes(int64(size.n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.Reset()
+				h.Write(msg)
+				buf = h.Sum(buf[:0])
+			}
+		})
 	}
 }

@@ -5,7 +5,11 @@
 // are the low-cost end of the flexibility spectrum analyzed there.
 package md5
 
-import "repro/internal/crypto/bitutil"
+import (
+	"hash"
+
+	"repro/internal/crypto/bitutil"
+)
 
 // Size is the MD5 digest size in bytes.
 const Size = 16
@@ -34,6 +38,10 @@ func (d *Digest) Reset() {
 	d.nx = 0
 	d.len = 0
 }
+
+// CopyFrom sets d to a copy of src's state, which must be a *Digest.
+// HMAC uses it to restore its saved key-pad states without rehashing.
+func (d *Digest) CopyFrom(src hash.Hash) { *d = *src.(*Digest) }
 
 // Size returns the digest size (16).
 func (d *Digest) Size() int { return Size }

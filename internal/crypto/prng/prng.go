@@ -7,6 +7,14 @@
 // of the secure platform architecture; the TRNG model here stands in for
 // that block, and the DRBG is the deterministic expansion firmware layers
 // on top of it.
+//
+// The DRBG holds K and V inline and one HMAC-SHA-1 instance keyed with K.
+// HMAC saves its key-pad digest states (see package hmac), so each
+// V = HMAC(K, V) step costs two SHA-1 compressions and each re-key two
+// more: a 1-byte Read costs eight, not twelve. Read, Reseed, Intn and
+// Float64 allocate nothing. The output stream is the same HMAC_DRBG
+// stream, byte for byte, that rebuilt the HMAC for every step
+// (TestDRBGKnownAnswers pins it).
 package prng
 
 import (
@@ -22,38 +30,49 @@ import (
 // It is deliberately deterministic given its seed, which keeps every
 // experiment in this repository reproducible.
 type DRBG struct {
-	k, v    []byte
+	k, v    [sha1.Size]byte
+	mac     *hmac.HMAC // keyed with k
 	reseeds int
 }
 
 // NewDRBG creates a DRBG seeded with the given entropy input.
 func NewDRBG(seed []byte) *DRBG {
-	d := &DRBG{
-		k: make([]byte, sha1.Size),
-		v: make([]byte, sha1.Size),
-	}
+	d := new(DRBG)
 	for i := range d.v {
 		d.v[i] = 0x01
 	}
+	d.mac = hmac.New(func() hash.Hash { return sha1.New() }, d.k[:])
 	d.update(seed)
 	return d
 }
 
-func (d *DRBG) hmac(key []byte, parts ...[]byte) []byte {
-	h := hmac.New(func() hash.Hash { return sha1.New() }, key)
-	for _, p := range parts {
-		h.Write(p)
-	}
-	return h.Sum(nil)
-}
+// separators holds the 0x00 and 0x01 bytes the update step appends to V.
+var separators = [2]byte{0x00, 0x01}
 
 func (d *DRBG) update(provided []byte) {
-	d.k = d.hmac(d.k, d.v, []byte{0x00}, provided)
-	d.v = d.hmac(d.k, d.v)
+	d.rekey(0, provided)
 	if len(provided) > 0 {
-		d.k = d.hmac(d.k, d.v, []byte{0x01}, provided)
-		d.v = d.hmac(d.k, d.v)
+		d.rekey(1, provided)
 	}
+}
+
+// rekey is one round of the HMAC_DRBG update:
+// K = HMAC(K, V || sep || provided), then V = HMAC(K, V).
+func (d *DRBG) rekey(sep int, provided []byte) {
+	d.mac.Reset()
+	d.mac.Write(d.v[:])
+	d.mac.Write(separators[sep : sep+1])
+	d.mac.Write(provided)
+	d.mac.Sum(d.k[:0])
+	d.mac.SetKey(d.k[:])
+	d.step()
+}
+
+// step advances V = HMAC(K, V).
+func (d *DRBG) step() {
+	d.mac.Reset()
+	d.mac.Write(d.v[:])
+	d.mac.Sum(d.v[:0])
 }
 
 // Reseed mixes additional entropy into the generator state.
@@ -65,12 +84,12 @@ func (d *DRBG) Reseed(entropy []byte) {
 // Reseeds reports how many times the generator has been reseeded.
 func (d *DRBG) Reseeds() int { return d.reseeds }
 
-// Read fills p with pseudorandom bytes. It never fails.
+// Read fills p with pseudorandom bytes. It never fails and allocates
+// nothing.
 func (d *DRBG) Read(p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		d.v = d.hmac(d.k, d.v)
-		n += copy(p[n:], d.v)
+	for n := 0; n < len(p); {
+		d.step()
+		n += copy(p[n:], d.v[:])
 	}
 	d.update(nil)
 	return len(p), nil
@@ -83,15 +102,20 @@ func (d *DRBG) Bytes(n int) []byte {
 	return b
 }
 
-// Intn returns a uniformly distributed integer in [0, n).
+// Intn returns a uniformly distributed integer in [0, n). It panics
+// unless 0 < n <= 2^31, the range of its 31-bit draws.
 func (d *DRBG) Intn(n int) int {
 	if n <= 0 {
 		panic("prng: Intn with non-positive bound")
 	}
+	if uint64(n) > 1<<31 {
+		panic("prng: Intn bound exceeds 2^31")
+	}
 	// Rejection sampling over 4-byte draws to avoid modulo bias.
 	limit := (1 << 31) / n * n
+	var b [4]byte
 	for {
-		b := d.Bytes(4)
+		d.Read(b[:]) //nolint:errcheck // never fails
 		v := int(uint32(b[0])<<24|uint32(b[1])<<16|uint32(b[2])<<8|uint32(b[3])) & 0x7fffffff
 		if v < limit {
 			return v % n
@@ -101,7 +125,8 @@ func (d *DRBG) Intn(n int) int {
 
 // Float64 returns a uniformly distributed float in [0, 1).
 func (d *DRBG) Float64() float64 {
-	b := d.Bytes(8)
+	var b [8]byte
+	d.Read(b[:]) //nolint:errcheck // never fails
 	var v uint64
 	for _, x := range b {
 		v = v<<8 | uint64(x)

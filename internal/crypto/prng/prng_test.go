@@ -2,7 +2,10 @@ package prng
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"testing"
+	"time"
 )
 
 func TestDRBGDeterministic(t *testing.T) {
@@ -35,25 +38,47 @@ func TestDRBGReseedChangesStream(t *testing.T) {
 	}
 }
 
+// TestDRBGStreamContinuity checks that equal call sequences give equal
+// output, whatever the read granularity, and that the stream does not
+// repeat. Reads of different granularity need not match one big read:
+// HMAC_DRBG runs its update step once per Read.
 func TestDRBGStreamContinuity(t *testing.T) {
-	a := NewDRBG([]byte("s"))
-	b := NewDRBG([]byte("s"))
-	whole := a.Bytes(100)
-	var parts []byte
-	for len(parts) < 100 {
-		n := 7
-		if len(parts)+n > 100 {
-			n = 100 - len(parts)
+	chunked := func() []byte {
+		d := NewDRBG([]byte("s"))
+		var out []byte
+		for len(out) < 100 {
+			out = append(out, d.Bytes(min(7, 100-len(out)))...)
 		}
-		parts = append(parts, b.Bytes(n)...)
+		return out
 	}
-	// Reads of different granularity need not match a single big read in
-	// HMAC-DRBG (the update step runs per-Read); what must hold is that
-	// equal call sequences match, and neither stream repeats.
-	if bytes.Equal(whole[:50], whole[50:]) {
+	a, b := chunked(), chunked()
+	if !bytes.Equal(a, b) {
+		t.Fatal("equal call sequences gave different output")
+	}
+	whole := NewDRBG([]byte("s")).Bytes(100)
+	if bytes.Equal(whole[:50], whole[50:]) || bytes.Equal(a[:50], a[50:]) {
 		t.Fatal("DRBG output repeats")
 	}
-	_ = parts
+}
+
+// TestDRBGAllocs pins the generator's hot calls at zero allocations.
+func TestDRBGAllocs(t *testing.T) {
+	d := NewDRBG([]byte("allocs"))
+	buf := make([]byte, 64)
+	entropy := []byte("fresh entropy")
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Read", func() { d.Read(buf) }},
+		{"Reseed", func() { d.Reseed(entropy) }},
+		{"Intn", func() { d.Intn(1000) }},
+		{"Float64", func() { d.Float64() }},
+	} {
+		if n := testing.AllocsPerRun(100, c.f); n != 0 {
+			t.Errorf("%s: %v allocs, want 0", c.name, n)
+		}
+	}
 }
 
 func TestIntnUniformBounds(t *testing.T) {
@@ -80,6 +105,32 @@ func TestIntnPanicsOnBadBound(t *testing.T) {
 		}
 	}()
 	NewDRBG(nil).Intn(0)
+}
+
+// TestIntnPanicsAboveRange: a bound past 2^31 cannot be met by 31-bit
+// draws, so Intn must refuse it rather than reject every draw forever.
+func TestIntnPanicsAboveRange(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot exceed 2^31")
+	}
+	n := math.MaxInt32
+	n += 2
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		NewDRBG(nil).Intn(n)
+	}()
+	select {
+	case r := <-done:
+		if r == nil {
+			t.Fatal("Intn(2^31+1) returned instead of panicking")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Intn(2^31+1) spun instead of panicking")
+	}
+	if v := NewDRBG(nil).Intn(1 << 31); v < 0 {
+		t.Fatalf("Intn(2^31) = %d", v)
+	}
 }
 
 func TestFloat64Range(t *testing.T) {
@@ -168,5 +219,21 @@ func TestTRNGDefaultRate(t *testing.T) {
 	tr.Harvest()
 	if _, err := tr.Read(make([]byte, 32)); err != nil {
 		t.Fatalf("default harvest rate should cover 32 bytes: %v", err)
+	}
+}
+
+// BenchmarkDRBGRead is the generator rung: one Read of 1 byte (a PKCS#1
+// padding byte), 20 bytes (one HMAC block) and 64 bytes.
+func BenchmarkDRBGRead(b *testing.B) {
+	for _, n := range []int{1, 20, 64} {
+		b.Run(strconv.Itoa(n)+"B", func(b *testing.B) {
+			d := NewDRBG([]byte("bench"))
+			buf := make([]byte, n)
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d.Read(buf)
+			}
+		})
 	}
 }

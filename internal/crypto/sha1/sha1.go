@@ -5,7 +5,11 @@
 // of the 3DES+SHA workload behind the processing-gap figure (Section 3.2).
 package sha1
 
-import "repro/internal/crypto/bitutil"
+import (
+	"hash"
+
+	"repro/internal/crypto/bitutil"
+)
 
 // Size is the SHA-1 digest size in bytes.
 const Size = 20
@@ -35,6 +39,10 @@ func (d *Digest) Reset() {
 	d.nx = 0
 	d.len = 0
 }
+
+// CopyFrom sets d to a copy of src's state, which must be a *Digest.
+// HMAC uses it to restore its saved key-pad states without rehashing.
+func (d *Digest) CopyFrom(src hash.Hash) { *d = *src.(*Digest) }
 
 // Size returns the digest size (20).
 func (d *Digest) Size() int { return Size }

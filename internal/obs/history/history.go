@@ -35,6 +35,9 @@ type Record struct {
 	Commit string `json:"commit"`
 	// GoVersion is the toolchain that built the run.
 	GoVersion string `json:"go_version"`
+	// NumCPU is the host's logical core count, when the source records
+	// it.
+	NumCPU int `json:"num_cpu,omitempty"`
 	// Seed identifies the workload seed, when one applies.
 	Seed string `json:"seed,omitempty"`
 	// Fingerprint is a short digest of the run configuration (see

@@ -25,20 +25,24 @@ import (
 //
 //	A(0) = seed, A(i) = HMAC(secret, A(i-1))
 //	out  = HMAC(secret, A(1)||seed) || HMAC(secret, A(2)||seed) || ...
+//
+// One keyed HMAC serves the whole expansion; Reset restores its saved
+// key-pad state for each A(i) and output block.
 func prf(secret []byte, label string, seed []byte, n int) []byte {
-	newHash := func() hash.Hash { return sha1.New() }
+	h := hmac.New(func() hash.Hash { return sha1.New() }, secret)
 	ls := append([]byte(label), seed...)
 	out := make([]byte, 0, n+sha1.Size)
+	var abuf [sha1.Size]byte
 	a := ls
 	for len(out) < n {
-		h := hmac.New(newHash, secret)
+		h.Reset()
 		h.Write(a)
-		a = h.Sum(nil)
+		a = h.Sum(abuf[:0])
 
-		h2 := hmac.New(newHash, secret)
-		h2.Write(a)
-		h2.Write(ls)
-		out = h2.Sum(out)
+		h.Reset()
+		h.Write(a)
+		h.Write(ls)
+		out = h.Sum(out)
 	}
 	return out[:n]
 }

@@ -2,6 +2,8 @@ package wtls
 
 import (
 	"bytes"
+	stdhmac "crypto/hmac"
+	stdsha1 "crypto/sha1"
 	"errors"
 	"io"
 	"testing"
@@ -492,6 +494,39 @@ func TestPRFProperties(t *testing.T) {
 	long := prf([]byte("s"), "l", []byte("x"), 100)
 	if !bytes.Equal(long[:40], prf([]byte("s"), "l", []byte("x"), 40)) {
 		t.Fatal("PRF prefix property violated")
+	}
+}
+
+// TestPRFAgainstStdlib diffs prf against the P_hash construction built
+// on crypto/hmac, for secrets shorter than, equal to and longer than the
+// SHA-1 block and outputs that end inside or on an HMAC block.
+func TestPRFAgainstStdlib(t *testing.T) {
+	ref := func(secret []byte, label string, seed []byte, n int) []byte {
+		ls := append([]byte(label), seed...)
+		var out []byte
+		a := ls
+		for len(out) < n {
+			m := stdhmac.New(stdsha1.New, secret)
+			m.Write(a)
+			a = m.Sum(nil)
+			m = stdhmac.New(stdsha1.New, secret)
+			m.Write(a)
+			m.Write(ls)
+			out = m.Sum(out)
+		}
+		return out[:n]
+	}
+	seed := bytes.Repeat([]byte{0x5a, 0x17, 0xc3}, 22)
+	for _, sl := range []int{0, 1, 20, 48, 64, 65, 100} {
+		secret := bytes.Repeat([]byte{byte(sl) | 1}, sl)
+		for _, n := range []int{0, 1, finishedLen, 20, 21, masterSecretLen, 104} {
+			for _, label := range []string{"", "master secret", "key expansion"} {
+				got := prf(secret, label, seed[:n%len(seed)], n)
+				if want := ref(secret, label, seed[:n%len(seed)], n); !bytes.Equal(got, want) {
+					t.Fatalf("secret %d B, label %q, n %d: got %x, want %x", sl, label, n, got, want)
+				}
+			}
+		}
 	}
 }
 
