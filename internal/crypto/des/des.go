@@ -7,6 +7,9 @@
 // example of security processing that word-oriented embedded CPUs execute
 // poorly (Section 4.2.1).
 //
+// Every block runs one round engine (fast.go) with packed round keys and
+// table-free IP/FP; a 3DES block costs one IP, 48 rounds and one FP.
+//
 // The package additionally exposes the round internals (Feistel function,
 // S-box lookups) needed by internal/attack/dpa to mount a first-round
 // correlation power attack.
@@ -14,6 +17,7 @@ package des
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/crypto/bitutil"
 )
@@ -33,7 +37,7 @@ func (k KeySizeError) Error() string {
 
 // Cipher is a single-DES block cipher instance.
 type Cipher struct {
-	subkeys [16]uint64 // 48-bit round subkeys, right-aligned
+	keys [16]roundKey
 }
 
 // NewCipher creates a DES cipher from an 8-byte key.
@@ -51,20 +55,20 @@ func (c *Cipher) BlockSize() int { return BlockSize }
 
 // Encrypt encrypts the 8-byte block src into dst.
 func (c *Cipher) Encrypt(dst, src []byte) {
-	b := bitutil.Load64(src)
-	bitutil.Store64(dst, c.cryptBlock(b, false))
+	l, r := initial(src)
+	bitutil.Store64(dst, final(c.rounds(l, r, 0)))
 }
 
 // Decrypt decrypts the 8-byte block src into dst.
 func (c *Cipher) Decrypt(dst, src []byte) {
-	b := bitutil.Load64(src)
-	bitutil.Store64(dst, c.cryptBlock(b, true))
+	l, r := initial(src)
+	bitutil.Store64(dst, final(c.rounds(l, r, 15)))
 }
 
 // Subkey returns round subkey i (0-based, right-aligned 48 bits). It is
 // exported for the key-schedule tests and the DPA attack's verification
 // step.
-func (c *Cipher) Subkey(i int) uint64 { return c.subkeys[i] }
+func (c *Cipher) Subkey(i int) uint64 { return c.keys[i].unpack() }
 
 func (c *Cipher) expandKey(key []byte) {
 	k := bitutil.Load64(key)
@@ -75,27 +79,18 @@ func (c *Cipher) expandKey(key []byte) {
 		cHalf = bitutil.RotateLeft28(cHalf, shift)
 		dHalf = bitutil.RotateLeft28(dHalf, shift)
 		combined := uint64(cHalf)<<28 | uint64(dHalf)
-		c.subkeys[i] = bitutil.PermuteBlock(combined, permutedChoice2, 56)
+		c.keys[i] = packKey(bitutil.PermuteBlock(combined, permutedChoice2, 56))
 	}
 }
 
-func (c *Cipher) cryptBlock(b uint64, decrypt bool) uint64 {
-	b = permute64(&ipTab, b)
-	left := uint32(b >> 32)
-	right := uint32(b)
-	if decrypt {
-		for round := 15; round >= 0; round-- {
-			left, right = right, left^feistelFast(right, c.subkeys[round])
-		}
-	} else {
-		for round := 0; round < 16; round++ {
-			left, right = right, left^feistelFast(right, c.subkeys[round])
-		}
+// rounds runs one 16-round pass, two rounds per step so the halves never
+// swap. rev = 15 walks the keys backwards (i^15 = 15-i), rev = 0 forwards.
+func (c *Cipher) rounds(l, r uint32, rev int) (uint32, uint32) {
+	for i := 0; i < 16; i += 2 {
+		l ^= feistel(r, c.keys[(i^rev)&15])
+		r ^= feistel(l, c.keys[(i+1^rev)&15])
 	}
-	// The halves are swapped after the last round (no swap in round 16,
-	// equivalently swap once more here).
-	pre := uint64(right)<<32 | uint64(left)
-	return permute64(&fpTab, pre)
+	return l, r
 }
 
 // EncryptWithFault encrypts one block but flips a single bit of the
@@ -105,18 +100,14 @@ func (c *Cipher) cryptBlock(b uint64, decrypt bool) uint64 {
 // R15 ahead of the final round). It exists for the DFA experiment in
 // internal/attack/dfa.
 func (c *Cipher) EncryptWithFault(dst, src []byte, round int, bit uint) {
-	b := bitutil.Load64(src)
-	b = permute64(&ipTab, b)
-	left := uint32(b >> 32)
-	right := uint32(b)
-	for r := 0; r < 16; r++ {
-		if r == round {
-			right ^= 1 << (bit % 32)
+	l, r := initial(src)
+	for i, k := range c.keys {
+		if i == round {
+			r ^= bits.RotateLeft32(1<<(bit%32), 1)
 		}
-		left, right = right, left^feistelFast(right, c.subkeys[r])
+		l, r = r, l^feistel(r, k)
 	}
-	pre := uint64(right)<<32 | uint64(left)
-	bitutil.Store64(dst, permute64(&fpTab, pre))
+	bitutil.Store64(dst, final(l, r))
 }
 
 // PInverse applies the inverse of the round permutation P — the DFA
@@ -133,12 +124,11 @@ func PInverse(v uint32) uint32 {
 }
 
 // Feistel computes the DES round function f(R, K) for a 32-bit half block
-// and a 48-bit subkey. Exported for the DPA attack model; internally it
-// uses the fused SP-box tables, which produce bit-identical output to the
-// reference expand/substitute/permute pipeline (see fast.go and the
-// equivalence test).
+// and a 48-bit subkey. Exported for the DPA attack model; it runs the
+// cipher's own round function, which matches the reference
+// expand/substitute/permute pipeline bit for bit (see the equivalence test).
 func Feistel(right uint32, subkey uint64) uint32 {
-	return feistelFast(right, subkey)
+	return bits.RotateLeft32(feistel(bits.RotateLeft32(right, 1), packKey(subkey)), -1)
 }
 
 // SBox performs the lookup of S-box `box` (0-7) on a 6-bit input, where the
@@ -156,10 +146,14 @@ func ExpandHalf(right uint32) uint64 {
 	return bitutil.PermuteBlock(uint64(right), expansion, 32)
 }
 
-// InitialPermute applies the DES initial permutation to a 64-bit block.
-// Exported for the DPA attack model.
+// InitialPermute applies the DES initial permutation to a 64-bit block, as
+// delta swaps of 16-bit groups, bytes, nibbles, bit pairs and single bits.
 func InitialPermute(b uint64) uint64 {
-	return permute64(&ipTab, b)
+	b = deltaSwap(b, 0x000000000000ffff, 48)
+	b = deltaSwap(b, 0x00000000ff00ff00, 24)
+	b = deltaSwap(b, 0x0000f0f00000f0f0, 12)
+	b = deltaSwap(b, 0x00cc00cc00cc00cc, 6)
+	return deltaSwap(b, 0x0000000055555555, 33)
 }
 
 // TripleCipher is a 3DES (EDE) cipher instance. With a 24-byte key the
@@ -191,19 +185,16 @@ func NewTripleCipher(key []byte) (*TripleCipher, error) {
 func (c *TripleCipher) BlockSize() int { return BlockSize }
 
 // Encrypt performs EDE encryption of one block.
-func (c *TripleCipher) Encrypt(dst, src []byte) {
-	b := bitutil.Load64(src)
-	b = c.k1.cryptBlock(b, false)
-	b = c.k2.cryptBlock(b, true)
-	b = c.k3.cryptBlock(b, false)
-	bitutil.Store64(dst, b)
-}
+func (c *TripleCipher) Encrypt(dst, src []byte) { ede(dst, src, &c.k1, &c.k2, &c.k3, 0) }
 
 // Decrypt performs EDE decryption of one block.
-func (c *TripleCipher) Decrypt(dst, src []byte) {
-	b := bitutil.Load64(src)
-	b = c.k3.cryptBlock(b, true)
-	b = c.k2.cryptBlock(b, false)
-	b = c.k1.cryptBlock(b, true)
-	bitutil.Store64(dst, b)
+func (c *TripleCipher) Decrypt(dst, src []byte) { ede(dst, src, &c.k3, &c.k2, &c.k1, 15) }
+
+// ede runs three passes between one IP and one FP, the middle one against
+// rev. Halves enter the next pass swapped, as FP then IP would leave them.
+func ede(dst, src []byte, a, b, c *Cipher, rev int) {
+	l, r := initial(src)
+	l, r = a.rounds(l, r, rev)
+	r, l = b.rounds(r, l, 15-rev)
+	bitutil.Store64(dst, final(c.rounds(l, r, rev)))
 }

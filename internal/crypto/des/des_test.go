@@ -28,6 +28,10 @@ func TestFIPSVector(t *testing.T) {
 	if !bytes.Equal(back, pt) {
 		t.Fatalf("decrypt = %x, want %x", back, pt)
 	}
+	// K1 from the same worked example, read back from the packed keys.
+	if got, want := c.Subkey(0), uint64(0x1B02EFFC7072); got != want {
+		t.Fatalf("K1 = %012x, want %012x", got, want)
+	}
 }
 
 // TestWeakKeyAllZero exercises a degenerate key to make sure the schedule
@@ -114,6 +118,97 @@ func TestTripleAgainstStdlib(t *testing.T) {
 			if !bytes.Equal(back, pt) {
 				t.Fatalf("klen %d: roundtrip failed", klen)
 			}
+		}
+	}
+}
+
+// FuzzAgainstStdlib compares DES and 3DES with crypto/des in both
+// directions, out of place and in place. The first input byte picks the
+// key size (8, 16 or 24 bytes); the next bytes are the key and then the
+// block, zero-padded when short.
+func FuzzAgainstStdlib(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add(append([]byte{1}, bytes.Repeat([]byte{0xa5}, 24)...))
+	f.Add(append([]byte{2}, bytes.Repeat([]byte{0xff}, 32)...))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var buf [1 + 24 + BlockSize]byte
+		copy(buf[:], in)
+		klen := 8 * (1 + int(buf[0]%3))
+		key, block := buf[1:1+klen], buf[1+klen:1+klen+BlockSize]
+		var ours, ref interface {
+			Encrypt(dst, src []byte)
+			Decrypt(dst, src []byte)
+		}
+		var err error
+		if klen == 8 {
+			ours, err = NewCipher(key)
+			if err == nil {
+				ref, err = stddes.NewCipher(key)
+			}
+		} else {
+			ours, err = NewTripleCipher(key)
+			if err == nil {
+				// crypto/des takes 24-byte keys only; keying option 2
+				// repeats k1 as k3.
+				ref, err = stddes.NewTripleDESCipher(append(append([]byte(nil), key...), key[:24-klen]...))
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range []struct {
+			name      string
+			ours, ref func(dst, src []byte)
+		}{
+			{"encrypt", ours.Encrypt, ref.Encrypt},
+			{"decrypt", ours.Decrypt, ref.Decrypt},
+		} {
+			want := make([]byte, BlockSize)
+			dir.ref(want, block)
+			got := make([]byte, BlockSize)
+			dir.ours(got, block)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d-byte key %s(%x) = %x, want %x", klen, dir.name, block, got, want)
+			}
+			inPlace := append([]byte(nil), block...)
+			dir.ours(inPlace, inPlace)
+			if !bytes.Equal(inPlace, want) {
+				t.Fatalf("%d-byte key in-place %s(%x) = %x, want %x", klen, dir.name, block, inPlace, want)
+			}
+		}
+	})
+}
+
+// TestCipherAllocs pins the block operations at zero allocations and the
+// constructors at one: the cipher itself, which holds its packed round
+// keys.
+func TestCipherAllocs(t *testing.T) {
+	key := bytes.Repeat([]byte{0x5a}, 24)
+	c, err := NewCipher(key[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, err := NewTripleCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, BlockSize)
+	for name, fn := range map[string]func(){
+		"DES Encrypt":  func() { c.Encrypt(buf, buf) },
+		"DES Decrypt":  func() { c.Decrypt(buf, buf) },
+		"3DES Encrypt": func() { tc.Encrypt(buf, buf) },
+		"3DES Decrypt": func() { tc.Decrypt(buf, buf) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s allocates %v times, want 0", name, n)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { c, _ = NewCipher(key[:8]) }); n != 1 {
+		t.Errorf("NewCipher allocates %v times, want 1", n)
+	}
+	for _, klen := range []int{16, 24} {
+		if n := testing.AllocsPerRun(100, func() { tc, _ = NewTripleCipher(key[:klen]) }); n != 1 {
+			t.Errorf("NewTripleCipher(%d-byte key) allocates %v times, want 1", klen, n)
 		}
 	}
 }

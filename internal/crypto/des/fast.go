@@ -6,67 +6,76 @@ import (
 	"repro/internal/crypto/bitutil"
 )
 
-// Precomputed fast-path tables. DES's bit-permutation structure is the
-// canonical workload a word-oriented CPU executes poorly (Section 4.2.1);
-// the software answer is the same one hardware takes — fold the
-// permutations into lookup tables once, at start-up:
-//
-//   - spBox fuses each S-box with the round permutation P, so the Feistel
-//     function is eight table lookups ORed together instead of eight
-//     S-box lookups followed by a 32-entry bit scatter;
-//   - ipTab/fpTab evaluate the initial/final permutations one source byte
-//     at a time (8 lookups of 256-entry tables) instead of one source bit
-//     at a time (64 iterations).
-//
-// All tables are derived from the FIPS 46-3 tables in tables.go, so the
-// reference data remains the single source of truth and the slow generic
-// helpers (SBox, PInverse, bitutil.PermuteBlock) stay available to the
-// side-channel attack models, which reason about individual S-boxes.
+// The round engine. DES's bit permutations are the canonical work a
+// word-oriented CPU does badly (Section 4.2.1), so none is left per round
+// and none needs a table. spBox fuses each S-box with P. E is free: in a
+// half rotated left by one bit, the odd S-boxes' inputs sit at byte
+// boundaries and a rotation by four exposes the even ones, so round keys
+// are packed to match and spBox is pre-rotated. IP and FP are five delta
+// swaps each, paid once per 3DES block since FP∘IP is the identity.
 
-// spBox[b][v] is P(S_b(v)) placed at S-box b's 4-bit output position.
+// spBox[b][v] is P(S_b(v)) placed at S-box b's output position, rotated
+// left by one bit.
 var spBox [8][64]uint32
-
-// ipTab and fpTab evaluate the initial and final permutations bytewise:
-// table[i][v] is the permutation of value v placed at source byte i.
-var ipTab, fpTab [8][256]uint64
 
 func init() {
 	for b := 0; b < 8; b++ {
 		for v := 0; v < 64; v++ {
-			out := uint32(SBox(b, uint8(v))) << uint(4*(7-b))
-			spBox[b][v] = uint32(bitutil.PermuteBlock(uint64(out), roundPermutation, 32))
-		}
-	}
-	buildPermTab(&ipTab, initialPermutation)
-	buildPermTab(&fpTab, finalPermutation)
-}
-
-func buildPermTab(tab *[8][256]uint64, perm []uint8) {
-	for i := 0; i < 8; i++ {
-		for v := 0; v < 256; v++ {
-			src := uint64(v) << uint(56-8*i)
-			tab[i][v] = bitutil.PermuteBlock(src, perm, 64)
+			out := uint64(SBox(b, uint8(v))) << uint(4*(7-b))
+			spBox[b][v] = bits.RotateLeft32(uint32(bitutil.PermuteBlock(out, roundPermutation, 32)), 1)
 		}
 	}
 }
 
-// permute64 applies a bytewise-precomputed 64-bit permutation.
-func permute64(tab *[8][256]uint64, b uint64) uint64 {
-	return tab[0][b>>56] | tab[1][b>>48&0xff] | tab[2][b>>40&0xff] | tab[3][b>>32&0xff] |
-		tab[4][b>>24&0xff] | tab[5][b>>16&0xff] | tab[6][b>>8&0xff] | tab[7][b&0xff]
+// roundKey is a 48-bit subkey packed for feistel: word b&1 holds S-box
+// b's 6-bit chunk in byte 3-b/2 (even boxes in [0], odd in [1]).
+type roundKey [2]uint32
+
+func packKey(k uint64) (rk roundKey) {
+	for b := 0; b < 8; b++ {
+		rk[b&1] |= uint32(k>>uint(42-6*b)) & 0x3f << uint(24-8*(b>>1))
+	}
+	return rk
 }
 
-// feistelFast computes f(R, K) via the fused SP-boxes. The expansion E
-// needs no table at all: S-box b's 6-bit input is the window of R covering
-// 1-based bit positions 4b..4b+5 (wrapping), which a rotation exposes at
-// the top of the word. Identical output to the reference Feistel.
-func feistelFast(r uint32, k uint64) uint32 {
-	return spBox[0][(bits.RotateLeft32(r, 31)>>26^uint32(k>>42))&0x3f] |
-		spBox[1][(bits.RotateLeft32(r, 3)>>26^uint32(k>>36))&0x3f] |
-		spBox[2][(bits.RotateLeft32(r, 7)>>26^uint32(k>>30))&0x3f] |
-		spBox[3][(bits.RotateLeft32(r, 11)>>26^uint32(k>>24))&0x3f] |
-		spBox[4][(bits.RotateLeft32(r, 15)>>26^uint32(k>>18))&0x3f] |
-		spBox[5][(bits.RotateLeft32(r, 19)>>26^uint32(k>>12))&0x3f] |
-		spBox[6][(bits.RotateLeft32(r, 23)>>26^uint32(k>>6))&0x3f] |
-		spBox[7][(bits.RotateLeft32(r, 27)>>26^uint32(k))&0x3f]
+func (rk roundKey) unpack() (k uint64) {
+	for b := 0; b < 8; b++ {
+		k |= uint64(rk[b&1]>>uint(24-8*(b>>1))&0x3f) << uint(42-6*b)
+	}
+	return k
+}
+
+// feistel is the one DES round function: f(R, K) on a half held rotated
+// left by one bit, returning the output rotated the same way.
+func feistel(r uint32, k roundKey) uint32 {
+	t := r ^ k[1]
+	u := bits.RotateLeft32(r, -4) ^ k[0]
+	return spBox[1][t>>24&0x3f] ^ spBox[3][t>>16&0x3f] ^ spBox[5][t>>8&0x3f] ^ spBox[7][t&0x3f] ^
+		spBox[0][u>>24&0x3f] ^ spBox[2][u>>16&0x3f] ^ spBox[4][u>>8&0x3f] ^ spBox[6][u&0x3f]
+}
+
+// deltaSwap exchanges the mask bits of x with those shift places above.
+func deltaSwap(x, mask uint64, shift uint) uint64 {
+	t := (x>>shift ^ x) & mask
+	return x ^ t ^ t<<shift
+}
+
+// permuteFinal is FP = IP⁻¹: InitialPermute's involutive swaps reversed.
+func permuteFinal(b uint64) uint64 {
+	b = deltaSwap(b, 0x0000000055555555, 33)
+	b = deltaSwap(b, 0x00cc00cc00cc00cc, 6)
+	b = deltaSwap(b, 0x0000f0f00000f0f0, 12)
+	b = deltaSwap(b, 0x00000000ff00ff00, 24)
+	return deltaSwap(b, 0x000000000000ffff, 48)
+}
+
+// initial applies IP and returns the halves rotated left by one bit.
+func initial(src []byte) (l, r uint32) {
+	b := InitialPermute(bitutil.Load64(src))
+	return bits.RotateLeft32(uint32(b>>32), 1), bits.RotateLeft32(uint32(b), 1)
+}
+
+// final unrotates and swaps the halves (round 16 has no swap), then FP.
+func final(l, r uint32) uint64 {
+	return permuteFinal(uint64(bits.RotateLeft32(r, -1))<<32 | uint64(bits.RotateLeft32(l, -1)))
 }

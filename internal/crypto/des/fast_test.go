@@ -7,8 +7,8 @@ import (
 	"repro/internal/crypto/prng"
 )
 
-// referenceFeistel is the original expand/substitute/permute pipeline the
-// fused SP-box tables replace; the fast path must match it bit for bit.
+// referenceFeistel is the expand/substitute/permute pipeline of FIPS
+// 46-3; the round function must match it bit for bit.
 func referenceFeistel(right uint32, subkey uint64) uint32 {
 	expanded := bitutil.PermuteBlock(uint64(right), expansion, 32)
 	x := expanded ^ subkey
@@ -22,38 +22,47 @@ func referenceFeistel(right uint32, subkey uint64) uint32 {
 
 func TestFeistelFastMatchesReference(t *testing.T) {
 	rng := prng.NewDRBG([]byte("feistel-equivalence"))
-	for i := 0; i < 5000; i++ {
-		r := uint32(bitutil.Load64(rng.Bytes(8)))
-		k := bitutil.Load64(rng.Bytes(8)) & (1<<48 - 1)
-		if got, want := feistelFast(r, k), referenceFeistel(r, k); got != want {
-			t.Fatalf("feistelFast(%#x, %#x) = %#x, want %#x", r, k, got, want)
+	check := func(r uint32, k uint64) {
+		t.Helper()
+		// Feistel packs k and runs the cipher's round function on r
+		// rotated as the rounds hold it.
+		if got, want := Feistel(r, k), referenceFeistel(r, k); got != want {
+			t.Fatalf("Feistel(%#x, %#x) = %#x, want %#x", r, k, got, want)
 		}
+		if got := packKey(k).unpack(); got != k {
+			t.Fatalf("packKey(%#x).unpack() = %#x", k, got)
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		check(uint32(bitutil.Load64(rng.Bytes(8))), bitutil.Load64(rng.Bytes(8))&(1<<48-1))
 	}
 	// Edge values.
 	for _, r := range []uint32{0, 0xffffffff, 0x80000001} {
 		for _, k := range []uint64{0, 1<<48 - 1} {
-			if got, want := feistelFast(r, k), referenceFeistel(r, k); got != want {
-				t.Fatalf("feistelFast(%#x, %#x) = %#x, want %#x", r, k, got, want)
-			}
+			check(r, k)
 		}
 	}
 }
 
+// TestPermute64MatchesReference checks the delta-swap IP and FP against
+// the FIPS 46-3 tables applied bit by bit, and that FP undoes IP.
 func TestPermute64MatchesReference(t *testing.T) {
 	rng := prng.NewDRBG([]byte("permute-equivalence"))
+	blocks := []uint64{0, ^uint64(0), 1, 1 << 63}
+	for i := 0; i < 64; i++ {
+		blocks = append(blocks, 1<<uint(i))
+	}
 	for i := 0; i < 5000; i++ {
-		b := bitutil.Load64(rng.Bytes(8))
-		if got, want := permute64(&ipTab, b), bitutil.PermuteBlock(b, initialPermutation, 64); got != want {
+		blocks = append(blocks, bitutil.Load64(rng.Bytes(8)))
+	}
+	for _, b := range blocks {
+		if got, want := InitialPermute(b), bitutil.PermuteBlock(b, initialPermutation, 64); got != want {
 			t.Fatalf("IP(%#x) = %#x, want %#x", b, got, want)
 		}
-		if got, want := permute64(&fpTab, b), bitutil.PermuteBlock(b, finalPermutation, 64); got != want {
+		if got, want := permuteFinal(b), bitutil.PermuteBlock(b, finalPermutation, 64); got != want {
 			t.Fatalf("FP(%#x) = %#x, want %#x", b, got, want)
 		}
-	}
-	// IP and FP must remain inverses under the table path.
-	for i := 0; i < 100; i++ {
-		b := bitutil.Load64(rng.Bytes(8))
-		if got := permute64(&fpTab, permute64(&ipTab, b)); got != b {
+		if got := permuteFinal(InitialPermute(b)); got != b {
 			t.Fatalf("FP(IP(%#x)) = %#x", b, got)
 		}
 	}

@@ -108,98 +108,31 @@ func DecryptECB(b Block, src []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// maxBlockSize bounds the on-stack scratch used by the CBC Into variants;
-// every cipher in this repository has 8- or 16-byte blocks.
-const maxBlockSize = 16
-
 // EncryptCBC encrypts src (block-aligned) in CBC mode with the given IV.
 func EncryptCBC(b Block, iv, src []byte) ([]byte, error) {
 	dst := make([]byte, len(src))
-	if err := EncryptCBCInto(b, iv, src, dst); err != nil {
+	c := newCBCCrypter(b)
+	if err := c.EncryptInto(iv, src, dst); err != nil {
 		return nil, err
 	}
 	return dst, nil
-}
-
-// EncryptCBCInto is EncryptCBC writing into a caller-provided dst, which
-// must be at least len(src) bytes and may alias src exactly (in-place
-// encryption). It allocates nothing for block sizes up to 16 bytes; the
-// record layers use it with reusable seal buffers.
-func EncryptCBCInto(b Block, iv, src, dst []byte) error {
-	bs := b.BlockSize()
-	if len(iv) != bs {
-		return fmt.Errorf("modes: IV length %d != block size %d", len(iv), bs)
-	}
-	if len(src)%bs != 0 {
-		return ErrNotBlockAligned
-	}
-	if len(dst) < len(src) {
-		return fmt.Errorf("modes: dst length %d < src length %d", len(dst), len(src))
-	}
-	var scratch [maxBlockSize]byte
-	tmp := scratch[:]
-	if bs > maxBlockSize {
-		tmp = make([]byte, bs)
-	}
-	tmp = tmp[:bs]
-	prev := iv
-	for i := 0; i < len(src); i += bs {
-		bitutil.XORBytes(tmp, src[i:i+bs], prev)
-		b.Encrypt(dst[i:i+bs], tmp)
-		prev = dst[i : i+bs]
-	}
-	mCBCEncOps.Inc()
-	mCBCEncBytes.Add(int64(len(src)))
-	return nil
 }
 
 // DecryptCBC decrypts src (block-aligned) in CBC mode with the given IV.
 func DecryptCBC(b Block, iv, src []byte) ([]byte, error) {
 	dst := make([]byte, len(src))
-	if err := DecryptCBCInto(b, iv, src, dst); err != nil {
+	c := newCBCCrypter(b)
+	if err := c.DecryptInto(iv, src, dst); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// DecryptCBCInto is DecryptCBC writing into a caller-provided dst, which
-// must be at least len(src) bytes and may alias src exactly (in-place
-// decryption — the ciphertext block is saved before dst is written).
-func DecryptCBCInto(b Block, iv, src, dst []byte) error {
-	bs := b.BlockSize()
-	if len(iv) != bs {
-		return fmt.Errorf("modes: IV length %d != block size %d", len(iv), bs)
-	}
-	if len(src)%bs != 0 {
-		return ErrNotBlockAligned
-	}
-	if len(dst) < len(src) {
-		return fmt.Errorf("modes: dst length %d < src length %d", len(dst), len(src))
-	}
-	var scratchT, scratchP, scratchC [maxBlockSize]byte
-	tmp, prev, ct := scratchT[:], scratchP[:], scratchC[:]
-	if bs > maxBlockSize {
-		tmp, prev, ct = make([]byte, bs), make([]byte, bs), make([]byte, bs)
-	}
-	tmp, prev, ct = tmp[:bs], prev[:bs], ct[:bs]
-	copy(prev, iv)
-	for i := 0; i < len(src); i += bs {
-		copy(ct, src[i:i+bs])
-		b.Decrypt(tmp, src[i:i+bs])
-		bitutil.XORBytes(dst[i:i+bs], tmp, prev)
-		prev, ct = ct, prev
-	}
-	mCBCDecOps.Inc()
-	mCBCDecBytes.Add(int64(len(src)))
-	return nil
-}
-
-// CBCCrypter carries per-connection CBC scratch for repeated operations
-// over one Block. The package-level Into variants keep their scratch on
-// the stack, but those slices are passed through the Block interface and
-// escape-analysis conservatively heap-allocates them on every call; a
-// record path that seals millions of records holds a CBCCrypter so the
-// scratch is paid once per connection direction instead.
+// CBCCrypter runs CBC over one Block with scratch it owns. Scratch passed
+// through the Block interface escapes, so on-stack scratch would be
+// heap-allocated on every call; a record path that seals millions of
+// records holds a CBCCrypter and pays for its scratch once per connection
+// direction instead.
 //
 // A CBCCrypter is not safe for concurrent use.
 type CBCCrypter struct {
@@ -209,19 +142,20 @@ type CBCCrypter struct {
 
 // NewCBCCrypter creates reusable CBC scratch for b.
 func NewCBCCrypter(b Block) *CBCCrypter {
-	bs := b.BlockSize()
-	return &CBCCrypter{
-		b:    b,
-		tmp:  make([]byte, bs),
-		prev: make([]byte, bs),
-		ct2:  make([]byte, bs),
-	}
+	c := newCBCCrypter(b)
+	return &c
 }
 
-// EncryptInto is EncryptCBCInto against the crypter's block cipher,
-// allocation-free for every block size. dst may alias src exactly.
-func (c *CBCCrypter) EncryptInto(iv, src, dst []byte) error {
-	bs := c.b.BlockSize()
+// newCBCCrypter carves the three scratch blocks from one allocation. A
+// one-shot caller keeps the CBCCrypter itself on its stack.
+func newCBCCrypter(b Block) CBCCrypter {
+	bs := b.BlockSize()
+	s := make([]byte, 3*bs)
+	return CBCCrypter{b: b, tmp: s[:bs:bs], prev: s[bs : 2*bs : 2*bs], ct2: s[2*bs:]}
+}
+
+// checkCBC validates the IV, alignment and dst length of one CBC call.
+func checkCBC(bs int, iv, src, dst []byte) error {
 	if len(iv) != bs {
 		return fmt.Errorf("modes: IV length %d != block size %d", len(iv), bs)
 	}
@@ -230,6 +164,17 @@ func (c *CBCCrypter) EncryptInto(iv, src, dst []byte) error {
 	}
 	if len(dst) < len(src) {
 		return fmt.Errorf("modes: dst length %d < src length %d", len(dst), len(src))
+	}
+	return nil
+}
+
+// EncryptInto encrypts src (block-aligned) in CBC mode into dst, which
+// must be at least len(src) bytes and may alias src exactly (in-place
+// encryption). It allocates nothing.
+func (c *CBCCrypter) EncryptInto(iv, src, dst []byte) error {
+	bs := c.b.BlockSize()
+	if err := checkCBC(bs, iv, src, dst); err != nil {
+		return err
 	}
 	tmp := c.tmp
 	prev := iv
@@ -243,18 +188,14 @@ func (c *CBCCrypter) EncryptInto(iv, src, dst []byte) error {
 	return nil
 }
 
-// DecryptInto is DecryptCBCInto against the crypter's block cipher,
-// allocation-free for every block size. dst may alias src exactly.
+// DecryptInto decrypts src (block-aligned) in CBC mode into dst, which
+// must be at least len(src) bytes and may alias src exactly (in-place
+// decryption: each ciphertext block is saved before dst is written). It
+// allocates nothing.
 func (c *CBCCrypter) DecryptInto(iv, src, dst []byte) error {
 	bs := c.b.BlockSize()
-	if len(iv) != bs {
-		return fmt.Errorf("modes: IV length %d != block size %d", len(iv), bs)
-	}
-	if len(src)%bs != 0 {
-		return ErrNotBlockAligned
-	}
-	if len(dst) < len(src) {
-		return fmt.Errorf("modes: dst length %d < src length %d", len(dst), len(src))
+	if err := checkCBC(bs, iv, src, dst); err != nil {
+		return err
 	}
 	tmp, prev, ct := c.tmp, c.prev, c.ct2
 	copy(prev, iv)

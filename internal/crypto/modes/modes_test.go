@@ -20,6 +20,14 @@ func mustAES(t *testing.T, key []byte) Block {
 	return c
 }
 
+func mustTripleDES(t *testing.T) Block {
+	c, err := des.NewTripleCipher(bytes.Repeat([]byte{0x5a}, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestPadUnpadProperty(t *testing.T) {
 	f := func(data []byte) bool {
 		for _, bs := range []int{8, 16} {
@@ -139,70 +147,77 @@ func TestCBCWithDES(t *testing.T) {
 	}
 }
 
+// TestCBCIntoMatchesAllocatingAndInPlace checks a reused CBCCrypter
+// against the allocating EncryptCBC/DecryptCBC, out of place and with
+// dst aliasing src exactly, across calls on the same scratch.
 func TestCBCIntoMatchesAllocatingAndInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	key := make([]byte, 16)
-	iv := make([]byte, 16)
-	rng.Read(key)
-	rng.Read(iv)
-	c := mustAES(t, key)
-	for _, blocks := range []int{1, 2, 7} {
-		src := make([]byte, 16*blocks)
-		rng.Read(src)
-		want, err := EncryptCBC(c, iv, src)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []Block{mustAES(t, make([]byte, 16)), mustTripleDES(t)} {
+		bs := c.BlockSize()
+		iv := make([]byte, bs)
+		rng.Read(iv)
+		cbc := NewCBCCrypter(c)
+		for _, blocks := range []int{1, 2, 7} {
+			src := make([]byte, bs*blocks)
+			rng.Read(src)
+			want, err := EncryptCBC(c, iv, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]byte, len(src))
+			if err := cbc.EncryptInto(iv, src, dst); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("EncryptInto differs from EncryptCBC (bs %d, %d blocks)", bs, blocks)
+			}
+			inplace := append([]byte{}, src...)
+			if err := cbc.EncryptInto(iv, inplace, inplace); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(inplace, want) {
+				t.Fatalf("in-place EncryptInto differs (bs %d, %d blocks)", bs, blocks)
+			}
+			back, err := DecryptCBC(c, iv, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(back, src) {
+				t.Fatal("DecryptCBC did not invert EncryptCBC")
+			}
+			dback := make([]byte, len(want))
+			if err := cbc.DecryptInto(iv, want, dback); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dback, src) {
+				t.Fatalf("DecryptInto differs (bs %d, %d blocks)", bs, blocks)
+			}
+			ip := append([]byte{}, want...)
+			if err := cbc.DecryptInto(iv, ip, ip); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ip, src) {
+				t.Fatalf("in-place DecryptInto differs (bs %d, %d blocks)", bs, blocks)
+			}
 		}
-		dst := make([]byte, len(src))
-		if err := EncryptCBCInto(c, iv, src, dst); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("EncryptCBCInto differs from EncryptCBC (%d blocks)", blocks)
-		}
-		// In-place encryption.
-		inplace := append([]byte{}, src...)
-		if err := EncryptCBCInto(c, iv, inplace, inplace); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(inplace, want) {
-			t.Fatalf("in-place EncryptCBCInto differs (%d blocks)", blocks)
-		}
-		// Decrypt back, allocating, Into, and in-place.
-		back, err := DecryptCBC(c, iv, want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back, src) {
-			t.Fatal("DecryptCBC did not invert EncryptCBC")
-		}
-		dback := make([]byte, len(want))
-		if err := DecryptCBCInto(c, iv, want, dback); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dback, src) {
-			t.Fatalf("DecryptCBCInto differs (%d blocks)", blocks)
-		}
-		ip := append([]byte{}, want...)
-		if err := DecryptCBCInto(c, iv, ip, ip); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ip, src) {
-			t.Fatalf("in-place DecryptCBCInto differs (%d blocks)", blocks)
+		if n := testing.AllocsPerRun(20, func() {
+			cbc.EncryptInto(iv, iv, iv) //nolint:errcheck
+			cbc.DecryptInto(iv, iv, iv) //nolint:errcheck
+		}); n != 0 {
+			t.Errorf("CBCCrypter (bs %d) allocates %v times, want 0", bs, n)
 		}
 	}
 }
 
 func TestCBCIntoShortDst(t *testing.T) {
-	key := make([]byte, 16)
-	c := mustAES(t, key)
+	cbc := NewCBCCrypter(mustAES(t, make([]byte, 16)))
 	iv := make([]byte, 16)
 	src := make([]byte, 32)
-	if err := EncryptCBCInto(c, iv, src, make([]byte, 16)); err == nil {
-		t.Fatal("EncryptCBCInto accepted short dst")
+	if err := cbc.EncryptInto(iv, src, make([]byte, 16)); err == nil {
+		t.Fatal("EncryptInto accepted short dst")
 	}
-	if err := DecryptCBCInto(c, iv, src, make([]byte, 16)); err == nil {
-		t.Fatal("DecryptCBCInto accepted short dst")
+	if err := cbc.DecryptInto(iv, src, make([]byte, 16)); err == nil {
+		t.Fatal("DecryptInto accepted short dst")
 	}
 }
 

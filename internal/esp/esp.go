@@ -52,6 +52,7 @@ const windowSize = 64
 type SA struct {
 	SPI    uint32
 	block  modes.Block
+	cbc    *modes.CBCCrypter // CBC scratch, owned by the SA
 	newMAC func() hash.Hash
 	macKey []byte
 	rng    io.Reader
@@ -122,7 +123,7 @@ func NewSA(spi uint32, block modes.Block, newMAC func() hash.Hash, macKey []byte
 	if len(macKey) == 0 {
 		return nil, errors.New("esp: empty MAC key")
 	}
-	sa := &SA{SPI: spi, block: block, newMAC: newMAC, macKey: append([]byte{}, macKey...), rng: rng}
+	sa := &SA{SPI: spi, block: block, cbc: modes.NewCBCCrypter(block), newMAC: newMAC, macKey: append([]byte{}, macKey...), rng: rng}
 	sa.mac = hmac.New(newMAC, sa.macKey)
 	sa.icvBuf = make([]byte, 0, sa.mac.Size())
 	return sa, nil
@@ -168,7 +169,7 @@ func (sa *SA) Seal(payload []byte) ([]byte, error) {
 	for i := len(payload); i < len(body); i++ {
 		body[i] = byte(padLen)
 	}
-	if err := modes.EncryptCBCInto(sa.block, iv, body, body); err != nil {
+	if err := sa.cbc.EncryptInto(iv, body, body); err != nil {
 		return nil, err
 	}
 	copy(pkt[total-ICVLen:], sa.icv(pkt[:total-ICVLen]))
@@ -209,7 +210,7 @@ func (sa *SA) Open(pkt []byte) ([]byte, error) {
 	iv := body[8 : 8+bs]
 	ct := body[8+bs:]
 	pt := make([]byte, len(ct))
-	if err := modes.DecryptCBCInto(sa.block, iv, ct, pt); err != nil {
+	if err := sa.cbc.DecryptInto(iv, ct, pt); err != nil {
 		return nil, err
 	}
 	payload, err := modes.Unpad(pt, bs)

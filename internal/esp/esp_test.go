@@ -216,3 +216,49 @@ func TestUnlimitedLifetimeByDefault(t *testing.T) {
 		t.Fatal("default SA should be unlimited")
 	}
 }
+
+// TestSealOpenAllocs pins the per-packet allocations: Seal builds the
+// packet and Open the plaintext, one allocation each. The SA's CBC
+// scratch and keyed HMAC are built once by NewSA.
+func TestSealOpenAllocs(t *testing.T) {
+	tx, rx := pairSA(t)
+	payload := bytes.Repeat([]byte{7}, 1024)
+	const runs = 50
+	pkts := make([][]byte, 0, runs+1)
+	if n := testing.AllocsPerRun(runs, func() {
+		pkt, err := tx.Seal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts = append(pkts, pkt)
+	}); n != 1 {
+		t.Errorf("Seal allocates %v times, want 1", n)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, err := rx.Open(pkts[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); n != 1 {
+		t.Errorf("Open allocates %v times, want 1", n)
+	}
+}
+
+// BenchmarkESPSealOpen is the ESP record rung: one 1 KiB packet sealed
+// and opened per op under 3DES-CBC and HMAC-SHA-1-96.
+func BenchmarkESPSealOpen(b *testing.B) {
+	tx, rx := pairSA(b)
+	payload := make([]byte, 1024)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pkt, err := tx.Seal(payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rx.Open(pkt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

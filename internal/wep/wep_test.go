@@ -188,3 +188,24 @@ func TestNextIVSkippingWeak(t *testing.T) {
 		t.Fatal("counter stalled")
 	}
 }
+
+// BenchmarkWEPSealOpen is the WEP record rung: one 1 KiB frame sealed and
+// opened per op under a 104-bit key.
+func BenchmarkWEPSealOpen(b *testing.B) {
+	e, err := NewEndpoint(make([]byte, Key104Len), IVSequential)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 1024)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		frame, err := e.Seal(payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Open(frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -85,6 +85,10 @@ func (e *AlertError) Error() string {
 	return fmt.Sprintf("wtls: received alert level %d description %d", e.Level, e.Description)
 }
 
+// errBadRecordMAC rejects a record whose MAC or CBC padding is wrong; the
+// two causes are deliberately indistinguishable.
+var errBadRecordMAC = errors.New("wtls: bad record MAC")
+
 // halfConn is one direction of record protection.
 type halfConn struct {
 	seq     uint64
@@ -301,6 +305,7 @@ func (hc *halfConn) openAppend(dst []byte, recType uint8, sealed []byte) ([]byte
 	}
 	dst = appendZeros(dst, len(sealed))
 	data := dst[base:]
+	badPad := false
 	switch hc.suite.Kind {
 	case suite.BlockCipher:
 		if err := hc.cbc.DecryptInto(hc.cbcIV, sealed, data); err != nil {
@@ -309,10 +314,17 @@ func (hc *halfConn) openAppend(dst []byte, recType uint8, sealed []byte) ([]byte
 		if len(sealed) >= hc.suite.BlockSize {
 			copy(hc.cbcIV, sealed[len(sealed)-hc.suite.BlockSize:])
 		}
-		var err error
-		data, err = modes.Unpad(data, hc.suite.BlockSize)
-		if err != nil {
-			return nil, dst[:base], err
+		// A bad pad must cost what a bad MAC costs, or the time to reject
+		// a record tells an attacker whether its padding was valid
+		// (Vaudenay's CBC padding oracle). So the MAC is still computed,
+		// over the record as if it had no padding, and the failure is
+		// reported as a MAC failure. A pad that leaves no room for the
+		// MAC counts as bad: only the public record length may decide
+		// the "shorter than MAC" error below.
+		if unpadded, err := modes.Unpad(data, hc.suite.BlockSize); err == nil && len(unpadded) >= hc.macLen {
+			data = unpadded
+		} else {
+			badPad = true
 		}
 	case suite.StreamCipher:
 		hc.stream.XORKeyStream(data, sealed)
@@ -325,9 +337,9 @@ func (hc *halfConn) openAppend(dst []byte, recType uint8, sealed []byte) ([]byte
 	payload, gotMAC := data[:len(data)-hc.macLen], data[len(data)-hc.macLen:]
 	want := hc.mac(recType, payload)
 	hc.seq++
-	if !hmac.Equal(gotMAC, want) {
+	if !hmac.Equal(gotMAC, want) || badPad {
 		mMACFailures.Inc()
-		return nil, dst[:base], errors.New("wtls: bad record MAC")
+		return nil, dst[:base], errBadRecordMAC
 	}
 	return payload, dst[:base+len(payload)], nil
 }
