@@ -51,12 +51,12 @@ func main() {
 		{"maccompare", macCompareDemo},
 		{"dfa", dfaDemo},
 	}
-	for _, a := range attacks {
+	for i, a := range attacks {
 		if *only != "" && *only != a.name {
 			continue
 		}
 		fmt.Printf("=== %s ===\n", a.name)
-		sp := obs.StartSpan("attack", a.name)
+		sp := obs.DefaultDTracer.Root(obs.TraceID(0, int64(i)), "attack", a.name)
 		err := a.run()
 		sp.End()
 		if err != nil {

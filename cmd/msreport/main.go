@@ -1,11 +1,11 @@
 // msreport turns the run artifacts the other cmds write — energy/cycle
-// profiles (-profile), metric snapshots (-metrics), event traces
-// (-trace), distributed span traces (-dtrace, repeatable: the msload
-// and msgateway halves of a soak merge into end-to-end traces) and the
-// cross-run history book — into human-facing views: a self-contained
-// HTML report (inline SVG flame graphs, per-session span waterfalls
-// with critical-path attribution, layer-cost tables, metric and trace
-// summaries, history trend sparklines; no external assets, no scripts),
+// profiles (-profile), metric snapshots (-metrics), distributed span
+// traces (-dtrace, repeatable: the msload and msgateway halves of a
+// soak merge into end-to-end traces) and the cross-run history book —
+// into human-facing views: a self-contained HTML report (inline SVG
+// flame graphs, per-session span waterfalls with critical-path
+// attribution, layer-cost tables, metric summaries, history trend
+// sparklines; no external assets, no scripts),
 // a folded-stack text file for standard flamegraph tooling, and a
 // pprof-style top table on stdout.
 //
@@ -41,17 +41,10 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 
-// traceDoc mirrors the tracer's JSON file layout.
-type traceDoc struct {
-	Dropped uint64      `json:"dropped"`
-	Events  []obs.Event `json:"events"`
-}
-
 func main() {
 	var profiles multiFlag
 	flag.Var(&profiles, "profile", "energy/cycle profile JSON to include (repeatable; multiple merge)")
 	metricsPath := flag.String("metrics", "", "metrics snapshot JSON to include")
-	tracePath := flag.String("trace", "", "event trace JSON to include")
 	var dtraces multiFlag
 	flag.Var(&dtraces, "dtrace", "distributed span trace JSONL to include (repeatable; client and server files merge into end-to-end traces)")
 	journalPath := flag.String("journal", "", "structured event journal JSONL to include (SLO alert table, per-layer counts)")
@@ -67,18 +60,18 @@ func main() {
 	commit := flag.String("commit", "", "commit recorded in the history entry (default: git HEAD)")
 	flag.Parse()
 
-	if err := run(profiles, dtraces, *metricsPath, *tracePath, *journalPath, *seriesPath, *historyPath, *htmlPath,
+	if err := run(profiles, dtraces, *metricsPath, *journalPath, *seriesPath, *historyPath, *htmlPath,
 		*foldedPath, *weight, *topN, *title, *appendHistory, *seed, *commit); err != nil {
 		fmt.Fprintln(os.Stderr, "msreport:", err)
 		os.Exit(1)
 	}
 }
 
-func run(profilePaths, dtracePaths []string, metricsPath, tracePath, journalPath, seriesPath, historyPath, htmlPath,
+func run(profilePaths, dtracePaths []string, metricsPath, journalPath, seriesPath, historyPath, htmlPath,
 	foldedPath, weight string, topN int, title string, appendHistory bool, seed, commit string) error {
-	if len(profilePaths) == 0 && len(dtracePaths) == 0 && metricsPath == "" && tracePath == "" && journalPath == "" &&
+	if len(profilePaths) == 0 && len(dtracePaths) == 0 && metricsPath == "" && journalPath == "" &&
 		seriesPath == "" && historyPath == "" {
-		return fmt.Errorf("nothing to report: give at least one of -profile, -metrics, -trace, -dtrace, -journal, -series, -history")
+		return fmt.Errorf("nothing to report: give at least one of -profile, -metrics, -dtrace, -journal, -series, -history")
 	}
 
 	var merged *prof.Profile
@@ -104,20 +97,6 @@ func run(profilePaths, dtracePaths []string, metricsPath, tracePath, journalPath
 		if err := json.Unmarshal(blob, snap); err != nil {
 			return fmt.Errorf("%s: %w", metricsPath, err)
 		}
-	}
-
-	var events []obs.Event
-	var dropped uint64
-	if tracePath != "" {
-		blob, err := os.ReadFile(tracePath)
-		if err != nil {
-			return err
-		}
-		var td traceDoc
-		if err := json.Unmarshal(blob, &td); err != nil {
-			return fmt.Errorf("%s: %w", tracePath, err)
-		}
-		events, dropped = td.Events, td.Dropped
 	}
 
 	// Merge every -dtrace file: the usual pair is the msload and
@@ -204,8 +183,6 @@ func run(profilePaths, dtracePaths []string, metricsPath, tracePath, journalPath
 			Title:          title,
 			Profile:        merged,
 			Metrics:        snap,
-			TraceEvents:    events,
-			TraceDropped:   dropped,
 			Spans:          spans,
 			SpansSkipped:   spansSkipped,
 			Journal:        jevents,

@@ -53,10 +53,10 @@ func main() {
 	defer o.Close()
 
 	var checks []check
-	sp := obs.StartSpan("repro", "all_checks")
+	sp := obs.DefaultDTracer.Root(obs.TraceID(0, 0), "repro", "all_checks")
 	add := func(id, claim, expected, measured string, pass bool) {
 		checks = append(checks, check{id, claim, expected, measured, pass})
-		obs.Emit("repro", "check_"+id, int64(len(checks)))
+		sp.Event("repro", "check_"+id, obs.DTraceNowUS(), 0, int64(len(checks)))
 	}
 
 	// ---- F2: protocol evolution --------------------------------------

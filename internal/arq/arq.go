@@ -359,7 +359,6 @@ func (e *Endpoint) transmit(frame []byte, retransmit bool) error {
 	if retransmit {
 		mRetransmits.Inc()
 		mRetxBytes.Add(int64(len(frame)))
-		obs.Emit("arq", "retransmit", int64(len(frame)))
 		if tsp != nil {
 			tsp.Event("arq", "retransmit", t0, obs.DTraceNowUS()-t0, int64(len(frame)))
 		}
@@ -449,7 +448,6 @@ func (e *Endpoint) awaitAck(ok func() bool) error {
 				err := fmt.Errorf("%w: seq %d unacknowledged after %d attempts",
 					ErrLinkDown, seq, retries)
 				mLinkDowns.Inc()
-				obs.Emit("arq", "link_down", int64(seq))
 				journal.Emit(int64(seq), journal.LevelWarn, "arq", "link_down",
 					journal.I("seq", int64(seq)), journal.I("attempts", int64(retries)))
 				e.fail(err)

@@ -231,7 +231,6 @@ func (t *FaultyTransport) Write(p []byte) (int, error) {
 	if t.rng.Float64() < lossP {
 		t.stats.Dropped++
 		mDropped.Inc()
-		obs.Emit("chaos", "drop", int64(len(p)))
 		journal.Emit(int64(t.stats.Frames), journal.LevelDebug, "chaos", "drop",
 			journal.I("frame_bytes", int64(len(p))))
 		return len(p), nil
@@ -250,7 +249,6 @@ func (t *FaultyTransport) Write(p []byte) (int, error) {
 		t.stats.BitsFlipped += flipped
 		mCorrupted.Inc()
 		mBitsFlip.Add(int64(flipped))
-		obs.Emit("chaos", "corrupt", int64(flipped))
 		journal.Emit(int64(t.stats.Frames), journal.LevelDebug, "chaos", "corrupt",
 			journal.I("bits_flipped", int64(flipped)), journal.I("frame_bytes", int64(len(p))))
 	}

@@ -92,8 +92,12 @@ func ComputeGapSurfaceFor(latencies, rates []float64, planeMIPS float64,
 	// Every cell is independent, so the grid fans out across the sweep
 	// worker pool; each worker writes its own (latency, rate) slot, which
 	// keeps the surface layout identical to the sequential fill.
-	sp := obs.StartSpan("core", "gap_surface")
-	sp.SetN(int64(len(latencies) * len(rates)))
+	// Sweep roots take their trace ID from the sweep's seed (0 when it
+	// has none) and size, never from the clock or goroutine order, so the
+	// span export is the same at any worker count.
+	cells := int64(len(latencies) * len(rates))
+	sp := obs.DefaultDTracer.Root(obs.TraceID(0, cells), "core", "gap_surface")
+	sp.SetN(cells)
 	defer sp.End()
 	// Cell events take t_sim from the row-major cell index the worker
 	// already knows, so the merged journal is worker-count independent.
@@ -237,9 +241,10 @@ type ArchitectureGapRow struct {
 // AcceleratorAblation evaluates the Section 4.2 architecture ladder on a
 // CPU at the Figure 3 anchor workload.
 func AcceleratorAblation(cpu *proc.Processor) ([]ArchitectureGapRow, error) {
-	sp := obs.StartSpan("core", "accelerator_ablation")
+	archs := proc.Ablation(cpu)
+	sp := obs.DefaultDTracer.Root(obs.TraceID(0, int64(len(archs))), "core", "accelerator_ablation")
 	defer sp.End()
-	return par.Map(context.Background(), par.DefaultWorkers(), proc.Ablation(cpu),
+	return par.Map(context.Background(), par.DefaultWorkers(), archs,
 		func(_ int, arch *proc.Architecture) (ArchitectureGapRow, error) {
 			mAblationRows.Inc()
 			d, err := arch.EffectiveDemandMIPS(0.5, 10, cost.HandshakeRSA1024, cost.DES3, cost.SHA1)

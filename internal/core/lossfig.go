@@ -137,7 +137,7 @@ func ComputeLossFigure(drop float64, bers []float64) (*LossFigure, error) {
 	txJ := func(b float64) float64 { return b / 1024 * rad.TxMJPerKB / 1e3 }
 	rxJ := func(b float64) float64 { return b / 1024 * rad.RxMJPerKB / 1e3 }
 
-	sp := obs.StartSpan("core", "loss_figure_analytic")
+	sp := obs.DefaultDTracer.Root(obs.TraceID(0, int64(len(bers))), "core", "loss_figure_analytic")
 	sp.SetN(int64(len(bers)))
 	defer sp.End()
 	fig := &LossFigure{
@@ -233,12 +233,14 @@ func SimulateLossFigure(drop float64, bers []float64, seed int64, perPoint int, 
 		pt            LossPoint
 		tx, rx, retxJ float64
 	}
-	sp := obs.StartSpan("core", "loss_figure_simulated")
+	sp := obs.DefaultDTracer.Root(obs.TraceID(seed, int64(len(bers))), "core", "loss_figure_simulated")
 	sp.SetN(int64(len(bers)))
 	defer sp.End()
 	cols, err := par.Map(context.Background(), par.DefaultWorkers(), bers,
 		func(i int, ber float64) (lossCol, error) {
-			psp := obs.StartSpan("core", "loss_point")
+			// Each point is its own root: a Child of sp would take its
+			// ordinal from worker scheduling order.
+			psp := obs.DefaultDTracer.Root(obs.TraceID(seed, int64(i)), "core", "loss_point")
 			pt, tx, rx, retx, err := simulateLossPoint(drop, ber, seed+int64(i)*7919, perPoint, pipeline)
 			psp.End()
 			if err != nil {

@@ -22,9 +22,7 @@ var ErrSLOStrict = errors.New("critical SLO rule fired (strict mode)")
 //
 //	-metrics <file>   arm the default registry; write its JSON snapshot
 //	                  to <file> on Close
-//	-trace <file>     arm the default tracer; write its events to <file>
-//	                  (.csv selects CSV, anything else JSON) on Close
-//	-dtrace <file>    arm the default distributed tracer; write its
+//	-dtrace <file>    arm the default span tracer; write its
 //	                  span JSONL (sorted, cross-process mergeable) to
 //	                  <file> on Close
 //	-trace-sample N   head-based sampling for -dtrace: keep 1 in N
@@ -58,7 +56,6 @@ var ErrSLOStrict = errors.New("critical SLO rule fired (strict mode)")
 // and the instrumented layers stay on their disarmed fast path.
 type CLI struct {
 	metricsPath  string
-	tracePath    string
 	dtracePath   string
 	traceSample  int
 	dtraceCanon  bool
@@ -84,7 +81,6 @@ type CLI struct {
 func BindFlags(fs *flag.FlagSet) *CLI {
 	c := &CLI{}
 	fs.StringVar(&c.metricsPath, "metrics", "", "write a JSON metrics snapshot to this file on exit")
-	fs.StringVar(&c.tracePath, "trace", "", "write the event trace to this file on exit (.csv for CSV)")
 	fs.StringVar(&c.dtracePath, "dtrace", "", "write the distributed span trace (JSONL) to this file on exit")
 	fs.IntVar(&c.traceSample, "trace-sample", 1, "keep 1 in N distributed traces (head-based, deterministic by trace ID)")
 	fs.BoolVar(&c.dtraceCanon, "dtrace-canon", false, "zero span timestamps in the distributed trace for byte-diffable exports")
@@ -100,7 +96,7 @@ func BindFlags(fs *flag.FlagSet) *CLI {
 	return c
 }
 
-// Activate arms the default registry/tracer/profiler/journal, loads SLO
+// Activate arms the default registry/span tracer/profiler/journal, loads SLO
 // rules, and starts the debug server according to the parsed flags.
 // Call after flag.Parse. Output paths are created here so an unwritable
 // path fails the run up front instead of silently losing the snapshot
@@ -112,14 +108,14 @@ func (c *CLI) Activate() error {
 		}
 		Default.SetEnabled(true)
 	}
-	if c.tracePath != "" {
-		if err := touch(c.tracePath); err != nil {
-			return fmt.Errorf("-trace: %w", err)
-		}
-		DefaultTracer.SetEnabled(true)
-	}
 	if c.traceSample < 1 {
 		return fmt.Errorf("-trace-sample: must be >= 1 (got %d)", c.traceSample)
+	}
+	if c.sloInterval < 0 {
+		return fmt.Errorf("-slo-interval: must be >= 0 (got %v)", c.sloInterval)
+	}
+	if c.seriesEvery < 0 {
+		return fmt.Errorf("-series-interval: must be >= 0 (got %v)", c.seriesEvery)
 	}
 	if c.dtracePath != "" {
 		if err := touch(c.dtracePath); err != nil {
@@ -189,7 +185,6 @@ func (c *CLI) Activate() error {
 	if c.pprofAddr != "" {
 		cfg := ServerConfig{
 			Registry: Default,
-			Tracer:   DefaultTracer,
 			Journal:  journal.Default,
 			Progress: ProgressSource(),
 		}
@@ -291,7 +286,7 @@ func (c *CLI) finishSLO() {
 	}
 }
 
-// Close writes the requested metrics/trace/profile/journal files, stops
+// Close writes the requested metrics/span/profile/journal files, stops
 // the debug server, and evaluates SLO rules a final time. Safe to call
 // when no flags were set, and idempotent enough to both defer and call
 // explicitly before os.Exit. With -slo-strict it returns ErrSLOStrict
@@ -311,10 +306,6 @@ func (c *CLI) Close() error {
 	}
 	if c.metricsPath != "" {
 		s := Default.Snapshot()
-		if DefaultTracer.Enabled() {
-			st := DefaultTracer.Stats()
-			s.Trace = &st
-		}
 		if DefaultDTracer.Enabled() {
 			st := DefaultDTracer.Stats()
 			s.DTrace = &st
@@ -323,12 +314,6 @@ func (c *CLI) Close() error {
 			first = err
 		}
 		c.metricsPath = ""
-	}
-	if c.tracePath != "" {
-		if err := DefaultTracer.WriteFile(c.tracePath); err != nil && first == nil {
-			first = err
-		}
-		c.tracePath = ""
 	}
 	if c.dtracePath != "" {
 		if st := DefaultDTracer.Stats(); st.Dropped > 0 {

@@ -18,7 +18,8 @@ import (
 func disarmDefaults(t *testing.T) {
 	t.Cleanup(func() {
 		Default.SetEnabled(false)
-		DefaultTracer.SetEnabled(false)
+		DefaultDTracer.SetEnabled(false)
+		DefaultDTracer.Reset()
 		prof.Default.SetEnabled(false)
 		prof.Default.Reset()
 		journal.Default.SetEnabled(false)
@@ -31,7 +32,7 @@ func TestBindFlagsRegistersAll(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	BindFlags(fs)
 	for _, name := range []string{
-		"metrics", "trace", "profile", "pprof",
+		"metrics", "profile", "pprof",
 		"journal", "journal-level", "slo", "slo-strict", "slo-interval",
 		"series", "series-interval",
 	} {
@@ -51,7 +52,7 @@ func TestActivateNoFlagsIsInert(t *testing.T) {
 	if err := c.Activate(); err != nil {
 		t.Fatal(err)
 	}
-	if Default.Enabled() || DefaultTracer.Enabled() || prof.Default.Enabled() {
+	if Default.Enabled() || DefaultDTracer.Enabled() || prof.Default.Enabled() {
 		t.Fatal("Activate armed a default with no flags set")
 	}
 	if err := c.Close(); err != nil {
@@ -61,7 +62,7 @@ func TestActivateNoFlagsIsInert(t *testing.T) {
 
 func TestActivateUnwritablePathFails(t *testing.T) {
 	disarmDefaults(t)
-	for _, flagName := range []string{"metrics", "trace", "profile"} {
+	for _, flagName := range []string{"metrics", "dtrace", "profile"} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		c := BindFlags(fs)
 		bad := filepath.Join(t.TempDir(), "no-such-dir", "out.json")
@@ -82,26 +83,26 @@ func TestSnapshotsWrittenOnClose(t *testing.T) {
 	disarmDefaults(t)
 	dir := t.TempDir()
 	metricsPath := filepath.Join(dir, "metrics.json")
-	tracePath := filepath.Join(dir, "trace.json")
+	dtracePath := filepath.Join(dir, "spans.jsonl")
 	profilePath := filepath.Join(dir, "profile.json")
 
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c := BindFlags(fs)
 	if err := fs.Parse([]string{
-		"-metrics", metricsPath, "-trace", tracePath, "-profile", profilePath,
+		"-metrics", metricsPath, "-dtrace", dtracePath, "-profile", profilePath,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Activate(); err != nil {
 		t.Fatal(err)
 	}
-	if !Default.Enabled() || !DefaultTracer.Enabled() || !prof.Default.Enabled() {
+	if !Default.Enabled() || !DefaultDTracer.Enabled() || !prof.Default.Enabled() {
 		t.Fatal("Activate left a requested default disarmed")
 	}
 
 	// Generate some signal on each surface.
 	C("cli_test.counter").Inc()
-	DefaultTracer.Emit("cli_test", "event", 1)
+	DefaultDTracer.Root(TraceID(1, 1), "cli_test", "event").End()
 	prof.Frame("cli_test/frame").AddCycles(42)
 
 	if err := c.Close(); err != nil {
@@ -119,18 +120,18 @@ func TestSnapshotsWrittenOnClose(t *testing.T) {
 	if !found {
 		t.Errorf("metrics snapshot missing cli_test.counter: %+v", snap.Counters)
 	}
-	if snap.Trace == nil {
-		t.Error("metrics snapshot missing trace ring stats while tracing enabled")
-	} else if snap.Trace.Recorded == 0 {
-		t.Errorf("trace stats recorded = 0: %+v", snap.Trace)
+	if snap.DTrace == nil {
+		t.Error("metrics snapshot missing span ring stats while tracing enabled")
+	} else if snap.DTrace.Recorded == 0 {
+		t.Errorf("span ring stats recorded = 0: %+v", snap.DTrace)
 	}
 
-	var traced struct {
-		Events []Event `json:"events"`
+	spans, skipped, err := ReadSpansFile(dtracePath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustUnmarshal(t, tracePath, &traced)
-	if len(traced.Events) == 0 {
-		t.Error("trace file has no events")
+	if skipped != 0 || len(spans) != 1 || spans[0].Name != "event" {
+		t.Errorf("span file content wrong: %d skipped, %+v", skipped, spans)
 	}
 
 	profile, err := prof.Load(profilePath)
@@ -196,6 +197,21 @@ func TestActivateBadJournalLevel(t *testing.T) {
 	}
 	if err := c.Activate(); err == nil || !strings.Contains(err.Error(), "-journal-level") {
 		t.Fatalf("bad -journal-level: Activate err = %v, want flag-naming error", err)
+	}
+}
+
+func TestActivateNegativeIntervals(t *testing.T) {
+	disarmDefaults(t)
+	dir := t.TempDir()
+	for _, name := range []string{"-series-interval", "-slo-interval"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		c := BindFlags(fs)
+		if err := fs.Parse([]string{"-series", filepath.Join(dir, "s.jsonl"), name, "-1s"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Activate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("negative %s: Activate err = %v, want flag-naming error", name, err)
+		}
 	}
 }
 

@@ -13,12 +13,11 @@ import (
 	"time"
 )
 
-// This file is the hierarchical, cross-process half of the tracing
-// story (trace.go keeps the original flat ring for point events).
-// Spans carry deterministic 64-bit trace/span/parent IDs derived from
-// the run's seeded randomness — never from the wall clock or math/rand
-// — so the ID structure of a trace is a pure function of the seed and
-// is byte-diffable across worker counts. The client half of a session
+// This file is the package's span tracer, hierarchical and
+// cross-process. Spans carry deterministic 64-bit trace/span/parent IDs
+// derived from the run's seeded randomness — never from the wall clock
+// or math/rand — so the ID structure of a trace is a pure function of
+// the seed and is byte-diffable across worker counts. The client half of a session
 // hands its (trace, span) pair to the server in the first application
 // record (see tracewire.go), which is how an msload session and the
 // msgateway session serving it merge into one end-to-end trace.
@@ -214,6 +213,14 @@ func (t *DTracer) NowUS() int64 {
 	}
 	return time.Since(epoch).Microseconds()
 }
+
+// mTraceSpans / mTraceDropped export ring health through the metrics
+// registry (and so the Prometheus exposition): spans recorded and spans
+// the ring overwrote.
+var (
+	mTraceSpans   = C("obs.trace_spans")
+	mTraceDropped = C("obs.trace_dropped")
+)
 
 // record appends one span to the ring (overwriting the oldest on wrap)
 // and feeds the obs.trace_spans / obs.trace_dropped counters.

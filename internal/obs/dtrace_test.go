@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -234,8 +235,60 @@ func TestDTracerRingDropCounting(t *testing.T) {
 	if got := mTraceDropped.Value() - before; got != int64(st.Dropped) {
 		t.Fatalf("obs.trace_dropped advanced by %d, want %d", got, st.Dropped)
 	}
-	if len(tr.Spans()) != 16 {
-		t.Fatalf("ring holds %d spans, want 16", len(tr.Spans()))
+	if st.Capacity != 16 {
+		t.Fatalf("capacity %d, want 16", st.Capacity)
+	}
+	// The ring keeps the most recent 16 records: events 25..39 and the
+	// root, which ended last.
+	spans := tr.Spans()
+	if len(spans) != 16 {
+		t.Fatalf("ring holds %d spans, want 16", len(spans))
+	}
+	kept := map[int64]bool{}
+	for _, r := range spans {
+		if r.Name == "root" {
+			kept[-1] = true
+		} else {
+			kept[r.StartUS] = true
+		}
+	}
+	for i := int64(25); i < 40; i++ {
+		if !kept[i] {
+			t.Fatalf("event %d missing after wraparound; kept %v", i, kept)
+		}
+	}
+	if !kept[-1] {
+		t.Fatal("root span missing after wraparound")
+	}
+	var nilTr *DTracer
+	if st := nilTr.Stats(); st != (TraceStats{}) {
+		t.Fatalf("nil tracer Stats = %+v", st)
+	}
+}
+
+// TestDTracerConcurrent records root+child pairs from many goroutines
+// (run under -race in CI) and checks no span is lost or double-counted.
+func TestDTracerConcurrent(t *testing.T) {
+	tr := NewDTracer(2048)
+	tr.SetEnabled(true)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				root := tr.Root(TraceID(int64(g), int64(j)), "l", "s")
+				root.Child("l", "c").End()
+				root.End()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := tr.Stats(); st.Recorded != 1600 || st.Dropped != 0 {
+		t.Fatalf("Stats = %+v, want 1600 recorded, 0 dropped", st)
+	}
+	if n := len(tr.Spans()); n != 1600 {
+		t.Fatalf("spans = %d, want 1600", n)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 // disable their endpoints (or leave them empty).
 type ServerConfig struct {
 	Registry *Registry
-	Tracer   *Tracer
 	Journal  *journal.Journal // /events streams this journal's emissions
 	Progress func() []byte    // /progress payload (see SetProgressSource)
 	Alerts   func() []byte    // /alerts payload (fired SLO rules as JSON)
@@ -27,18 +26,11 @@ type ServerConfig struct {
 	MetricsInterval time.Duration
 }
 
-// Serve starts the opt-in debug HTTP endpoint with just metrics and
-// tracing, preserving the original two-instrument signature.
-func Serve(addr string, reg *Registry, tr *Tracer) (string, func() error, error) {
-	return ServeConfig(addr, ServerConfig{Registry: reg, Tracer: tr})
-}
-
 // ServeConfig starts the opt-in debug HTTP endpoint on addr, exposing:
 //
 //	/debug/pprof/...   the standard pprof profiles
 //	/debug/vars        expvar (cmdline, memstats)
 //	/metrics           the registry snapshot as JSON
-//	/trace             the tracer's buffered events as JSON
 //	/events            SSE stream of journal events + periodic metric deltas
 //	/progress          live sweep progress (completed/total, per-worker, ETA)
 //	/alerts            fired SLO rules as JSON
@@ -74,10 +66,6 @@ func ServeConfig(addr string, cfg ServerConfig) (string, func() error, error) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		snap := cfg.Registry.Snapshot()
 		_ = WriteProm(w, &snap)
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = cfg.Tracer.WriteJSON(w)
 	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
 		if cfg.Progress == nil {

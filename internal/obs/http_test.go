@@ -20,11 +20,8 @@ func TestServeEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.SetEnabled(true)
 	r.Counter("hits").Add(3)
-	tr := NewTracer(16)
-	tr.SetEnabled(true)
-	tr.Emit("test", "ping", 1)
 
-	addr, shutdown, err := Serve("127.0.0.1:0", r, tr)
+	addr, shutdown, err := ServeConfig("127.0.0.1:0", ServerConfig{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,15 +49,6 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if len(snap.Counters) != 1 || snap.Counters[0].Value != 3 {
 		t.Fatalf("/metrics content wrong: %+v", snap)
-	}
-	var tf struct {
-		Events []Event `json:"events"`
-	}
-	if err := json.Unmarshal(get("/trace"), &tf); err != nil {
-		t.Fatalf("/trace not JSON: %v", err)
-	}
-	if len(tf.Events) != 1 {
-		t.Fatalf("/trace events = %d, want 1", len(tf.Events))
 	}
 	get("/debug/vars")
 	get("/debug/pprof/cmdline")
@@ -184,11 +172,11 @@ func TestServeShutdownUnblocksStreams(t *testing.T) {
 func TestCLIWritesFiles(t *testing.T) {
 	dir := t.TempDir()
 	mpath := filepath.Join(dir, "metrics.json")
-	tpath := filepath.Join(dir, "trace.csv")
+	tpath := filepath.Join(dir, "spans.jsonl")
 
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c := BindFlags(fs)
-	if err := fs.Parse([]string{"-metrics", mpath, "-trace", tpath}); err != nil {
+	if err := fs.Parse([]string{"-metrics", mpath, "-dtrace", tpath}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Activate(); err != nil {
@@ -196,13 +184,14 @@ func TestCLIWritesFiles(t *testing.T) {
 	}
 	defer func() {
 		Default.SetEnabled(false)
-		DefaultTracer.SetEnabled(false)
+		DefaultDTracer.SetEnabled(false)
+		DefaultDTracer.Reset()
 	}()
-	if !Enabled() || !TraceEnabled() {
-		t.Fatal("Activate did not arm the default registry/tracer")
+	if !Enabled() || !DTraceEnabled() {
+		t.Fatal("Activate did not arm the default registry/span tracer")
 	}
 	C("cli.test").Inc()
-	Emit("cli", "test", 1)
+	DefaultDTracer.Root(TraceID(2, 2), "cli", "test").End()
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +203,11 @@ func TestCLIWritesFiles(t *testing.T) {
 	if err := json.Unmarshal(blob, &snap); err != nil {
 		t.Fatalf("metrics file not JSON: %v", err)
 	}
-	if _, err := os.Stat(tpath); err != nil {
-		t.Fatalf("trace file not written: %v", err)
+	if snap.DTrace == nil || snap.DTrace.Recorded == 0 {
+		t.Fatalf("metrics snapshot lacks span ring stats: %+v", snap.DTrace)
+	}
+	if spans, _, err := ReadSpansFile(tpath); err != nil || len(spans) != 1 {
+		t.Fatalf("span file: %d spans, err %v; want 1", len(spans), err)
 	}
 	// Close again must be harmless.
 	if err := c.Close(); err != nil {

@@ -1,7 +1,7 @@
 // Package obs is the repository's zero-dependency observability layer:
 // a concurrent-safe metrics registry (counters, gauges, fixed-bucket
-// histograms), a lightweight span/event tracer with a bounded ring
-// buffer (see trace.go), and opt-in pprof/expvar HTTP endpoints for the
+// histograms), a hierarchical span tracer with a bounded ring buffer
+// (see dtrace.go), and opt-in pprof/expvar HTTP endpoints for the
 // long-running cmd tools (see http.go).
 //
 // The paper's headline figures are measurement claims; this package
@@ -318,9 +318,7 @@ type Snapshot struct {
 	Counters   []CounterValue   `json:"counters"`
 	Gauges     []GaugeValue     `json:"gauges"`
 	Histograms []HistogramValue `json:"histograms"`
-	Trace      *TraceStats      `json:"trace,omitempty"`
-	// DTrace is the distributed-tracing ring's health, embedded when
-	// -dtrace is active (same role Trace plays for the flat ring).
+	// DTrace is the span ring's health, embedded when -dtrace is active.
 	DTrace *TraceStats `json:"dtrace,omitempty"`
 }
 

@@ -1,5 +1,5 @@
 // Package report renders the observability layer's run artifacts —
-// metrics snapshots, trace summaries, energy/cycle profiles and
+// metrics snapshots, span waterfalls, energy/cycle profiles and
 // cross-run history — into a single self-contained HTML document:
 // inline CSS, inline SVG flame graphs and sparklines, zero external
 // assets, zero scripts. The output is deterministic for deterministic
@@ -24,11 +24,9 @@ import (
 // Data is everything a report can include; nil/empty sections are
 // omitted from the document.
 type Data struct {
-	Title        string
-	Profile      *prof.Profile
-	Metrics      *obs.Snapshot
-	TraceEvents  []obs.Event
-	TraceDropped uint64
+	Title   string
+	Profile *prof.Profile
+	Metrics *obs.Snapshot
 	// Spans holds distributed-trace span records (the -dtrace JSONL,
 	// possibly merged from several processes); SpansSkipped counts
 	// malformed lines the loader dropped.
@@ -65,9 +63,6 @@ func HTML(w io.Writer, d Data) error {
 	}
 	if d.Metrics != nil {
 		writeMetricsSection(&b, d.Metrics)
-	}
-	if d.TraceEvents != nil || d.TraceDropped > 0 {
-		writeTraceSection(&b, d.TraceEvents, d.TraceDropped)
 	}
 	if len(d.Spans) > 0 || d.SpansSkipped > 0 {
 		writeSpanSection(&b, d.Spans, d.SpansSkipped, d.TopN)
@@ -275,10 +270,6 @@ func writeTopTable(b *strings.Builder, p *prof.Profile, by prof.Weight, topN int
 
 func writeMetricsSection(b *strings.Builder, s *obs.Snapshot) {
 	b.WriteString("<h2>Metric snapshot</h2>\n")
-	if s.Trace != nil {
-		fmt.Fprintf(b, "<p class=\"note\">trace ring: %d recorded, %d dropped (capacity %d)</p>\n",
-			s.Trace.Recorded, s.Trace.Dropped, s.Trace.Capacity)
-	}
 	if s.DTrace != nil {
 		fmt.Fprintf(b, "<p class=\"note\">distributed-span ring: %d recorded, %d dropped (capacity %d)</p>\n",
 			s.DTrace.Recorded, s.DTrace.Dropped, s.DTrace.Capacity)
@@ -472,43 +463,6 @@ func sparklineShaded(values []float64, shaded []bool) string {
 	}
 	b.WriteString("</svg>")
 	return b.String()
-}
-
-// ---- trace ------------------------------------------------------------
-
-func writeTraceSection(b *strings.Builder, events []obs.Event, dropped uint64) {
-	b.WriteString("<h2>Trace summary</h2>\n")
-	fmt.Fprintf(b, "<p class=\"note\">%d buffered events, %d dropped to ring wraparound.</p>\n",
-		len(events), dropped)
-	if dropped > 0 {
-		b.WriteString("<p class=\"note\"><strong>Trace is truncated</strong> — raise the ring capacity or trace a shorter run for a complete picture.</p>\n")
-	}
-	type layerAgg struct {
-		events int
-		spanUS int64
-	}
-	layers := map[string]*layerAgg{}
-	var names []string
-	for _, e := range events {
-		la, ok := layers[e.Layer]
-		if !ok {
-			la = &layerAgg{}
-			layers[e.Layer] = la
-			names = append(names, e.Layer)
-		}
-		la.events++
-		la.spanUS += e.DurUS
-	}
-	sort.Strings(names)
-	if len(names) > 0 {
-		b.WriteString("<table><tr><th>layer</th><th>events</th><th>span time (µs)</th></tr>\n")
-		for _, name := range names {
-			la := layers[name]
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%d</td></tr>\n",
-				html.EscapeString(name), la.events, la.spanUS)
-		}
-		b.WriteString("</table>\n")
-	}
 }
 
 // ---- journal ----------------------------------------------------------

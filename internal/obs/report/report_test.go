@@ -23,14 +23,8 @@ func fullData() Data {
 			Counters:   []obs.CounterValue{{Name: "wtls.handshakes", Value: 3}},
 			Gauges:     []obs.GaugeValue{{Name: "core.battery_j", Value: 26_000}},
 			Histograms: []obs.HistogramValue{{Name: "arq.frame_bytes", Count: 2, Sum: 3000}},
-			Trace:      &obs.TraceStats{Recorded: 10, Dropped: 4, Capacity: 8},
+			DTrace:     &obs.TraceStats{Recorded: 10, Dropped: 4, Capacity: 8},
 		},
-		TraceEvents: []obs.Event{
-			{Seq: 1, Layer: "wtls", Name: "handshake", DurUS: 120},
-			{Seq: 2, Layer: "wtls", Name: "record", DurUS: 30},
-			{Seq: 3, Layer: "arq", Name: "retx"},
-		},
-		TraceDropped: 4,
 		Journal: []journal.Event{
 			{TSim: 20, Level: journal.LevelWarn, Layer: "slo", Name: "slo_fired",
 				Fields: []journal.Field{journal.S("rule", "retry-burn"), journal.S("severity", "warn")}},
@@ -71,9 +65,7 @@ func TestHTMLAllSections(t *testing.T) {
 		"<svg class=\"flame\"",
 		"Metric snapshot",
 		"wtls.handshakes",
-		"trace ring: 10 recorded, 4 dropped (capacity 8)",
-		"Trace summary",
-		"Trace is truncated",
+		"distributed-span ring: 10 recorded, 4 dropped (capacity 8)",
 		"Cross-run history",
 		"profile_energy_uj",
 		"<polyline",
@@ -114,7 +106,7 @@ func TestHTMLEmptySectionsOmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := buf.String()
-	for _, absent := range []string{"Energy / cycle profile", "Metric snapshot", "Trace summary", "Cross-run history"} {
+	for _, absent := range []string{"Energy / cycle profile", "Metric snapshot", "Cross-run history"} {
 		if strings.Contains(doc, absent) {
 			t.Errorf("empty report contains section %q", absent)
 		}

@@ -458,7 +458,6 @@ func (c *Conn) Handshake() error {
 	if c.isClient {
 		role = "client"
 	}
-	sp := obs.StartSpan("wtls", "handshake_"+role)
 	c.jhs("start")
 	var err error
 	if c.isClient {
@@ -466,7 +465,6 @@ func (c *Conn) Handshake() error {
 	} else {
 		err = c.serverHandshake()
 	}
-	sp.End()
 	c.phaseMark("")
 	if p := c.tparent.Load(); p != nil {
 		// Client role: the driver attached the parent before Handshake,
