@@ -25,7 +25,6 @@ import (
 	"repro/internal/crypto/sha1"
 	"repro/internal/obs"
 	"repro/internal/obs/prof"
-	_ "repro/internal/obs/ts" // series recorder for -series
 	"repro/internal/wep"
 )
 

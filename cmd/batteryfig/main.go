@@ -10,7 +10,6 @@ import (
 
 	mobilesec "repro"
 	"repro/internal/obs"
-	_ "repro/internal/obs/ts" // series recorder for -series
 )
 
 func main() {

@@ -13,7 +13,6 @@ import (
 	mobilesec "repro"
 	"repro/internal/cost"
 	"repro/internal/obs"
-	_ "repro/internal/obs/ts" // series recorder for -series
 	"repro/internal/par"
 )
 

@@ -15,7 +15,6 @@ import (
 
 	mobilesec "repro"
 	"repro/internal/obs"
-	_ "repro/internal/obs/ts" // series recorder for -series
 	"repro/internal/par"
 )
 

@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/gateway"
 	"repro/internal/obs"
-	_ "repro/internal/obs/ts" // series recorder for -series
 	"repro/internal/wtls"
 )
 

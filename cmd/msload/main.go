@@ -29,7 +29,6 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
-	_ "repro/internal/obs/ts" // series recorder for -series
 	"repro/internal/wtls"
 )
 

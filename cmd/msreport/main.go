@@ -32,7 +32,6 @@ import (
 	"repro/internal/obs/journal"
 	"repro/internal/obs/prof"
 	"repro/internal/obs/report"
-	"repro/internal/obs/ts"
 )
 
 // multiFlag collects a repeatable string flag.
@@ -128,10 +127,10 @@ func run(profilePaths, dtracePaths []string, metricsPath, journalPath, seriesPat
 		}
 	}
 
-	var windows []ts.Window
+	var windows []obs.SeriesWindow
 	if seriesPath != "" {
 		var err error
-		windows, err = ts.ReadFile(seriesPath)
+		windows, err = obs.ReadSeries(seriesPath)
 		if err != nil {
 			return err
 		}

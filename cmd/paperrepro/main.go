@@ -27,7 +27,6 @@ import (
 	"repro/internal/crypto/rsa"
 	"repro/internal/crypto/sha1"
 	"repro/internal/obs"
-	_ "repro/internal/obs/ts" // series recorder for -series
 	"repro/internal/par"
 	"repro/internal/wep"
 )

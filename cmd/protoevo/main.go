@@ -11,7 +11,6 @@ import (
 	mobilesec "repro"
 	"repro/internal/core"
 	"repro/internal/obs"
-	_ "repro/internal/obs/ts" // series recorder for -series
 )
 
 func main() {

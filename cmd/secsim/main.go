@@ -22,7 +22,6 @@ import (
 	"repro/internal/crypto/sha1"
 	"repro/internal/esp"
 	"repro/internal/obs"
-	_ "repro/internal/obs/ts" // series recorder for -series
 	"repro/internal/see"
 	"repro/internal/stack"
 	"repro/internal/wep"

@@ -39,7 +39,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	"repro/internal/obs/prof"
-	"repro/internal/obs/ts"
 )
 
 // capturedDone marks a device whose key has fallen (or is pending the
@@ -702,7 +701,7 @@ func (s *Sim) mergeEpoch(tStart, tEnd int64) (pending bool) {
 		// flush above, so the window contents are independent of
 		// -workers/-shards and the -series file byte-diffs in CI.
 		// Disarmed cost is one atomic load.
-		ts.Tick(tEnd)
+		obs.SeriesTick(tEnd)
 	}
 
 	progEpoch(s.epoch+1, tEnd, alive, dead, s.compromised, s.totCnt[cEvents])

@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/obs/journal"
@@ -18,30 +21,15 @@ import (
 // distinct nonzero exit code (see Finish).
 var ErrSLOStrict = errors.New("critical SLO rule fired (strict mode)")
 
-// CLI binds the shared observability flags every cmd exposes:
-//
-//	-metrics <file>   arm the default registry; write its JSON snapshot
-//	                  to <file> on Close
-//	-dtrace <file>    arm the default span tracer; write its
-//	                  span JSONL (sorted, cross-process mergeable) to
-//	                  <file> on Close
-//	-trace-sample N   head-based sampling for -dtrace: keep 1 in N
-//	                  traces, decided deterministically by trace ID
-//	-dtrace-canon     zero span timestamps so the -dtrace export is
-//	                  byte-identical across worker counts
-//	-profile <file>   arm the default energy/cycle profiler; write its
-//	                  JSON call tree to <file> on Close
-//	-journal <file>   arm the default event journal; write its merged
-//	                  JSONL (deterministic (t_sim, seq) order) on Close
-//	-journal-level L  minimum journal level (debug, info, warn, crit)
-//	-slo <file>       load SLO rules and evaluate them at run end
-//	-slo-strict       exit nonzero when a crit-severity rule fires
-//	-slo-interval D   also evaluate rules on this wall-clock period
-//	-series <file>    record windowed metric time-series; write JSONL
-//	                  windows to <file> on Close
-//	-series-interval D  cut wall-clock windows on this period (0 = the
-//	                  cmd ticks model time itself, e.g. fleet epochs)
-//	-pprof <addr>     serve pprof/expvar/metrics/events/progress on addr
+// CLI binds the shared observability flags every cmd exposes (see
+// BindFlags for their usage). Five of them name an output file, one row
+// each of the sink table: -metrics (registry JSON), -dtrace (span
+// JSONL, shaped by -trace-sample and -dtrace-canon), -profile
+// (energy/cycle call tree), -journal (event JSONL, filtered by
+// -journal-level) and -series (windowed metric JSONL, cut on the
+// -series-interval wall clock or by the cmd's SeriesTick). -slo,
+// -slo-strict and -slo-interval evaluate rules over the registry and
+// the series; -pprof serves the live endpoints (see ServeConfig).
 //
 // Usage in a cmd:
 //
@@ -69,12 +57,11 @@ type CLI struct {
 	seriesEvery  time.Duration
 	pprofAddr    string
 
-	engine     *slo.Engine
-	sloDone    bool
-	shutdown   func() error
-	stopEval   chan struct{}
-	stopSeries chan struct{}
-	sink       SeriesSink
+	level    journal.Level
+	engine   *slo.Engine
+	shutdown func() error
+	stop     chan struct{} // ends the -slo-interval and -series-interval loops
+	loops    sync.WaitGroup
 }
 
 // BindFlags registers the observability flags on fs.
@@ -96,143 +83,197 @@ func BindFlags(fs *flag.FlagSet) *CLI {
 	return c
 }
 
-// Activate arms the default registry/span tracer/profiler/journal, loads SLO
-// rules, and starts the debug server according to the parsed flags.
+// sink is one row of the CLI's file-sink table: the flag naming its
+// output file, whether the parsed flags arm it, the switch that arms or
+// disarms it, how Close writes it, and, for a sink with a capacity
+// bound, how many entries it dropped (named by what and unit).
+type sink struct {
+	flag       string
+	path       *string
+	on         bool
+	set        func(on bool)
+	write      func(io.Writer) error
+	dropped    func() int64
+	what, unit string
+}
+
+// sinks is the file-sink table. The metrics registry is also armed for
+// the live server, SLO rules and the series recorder, which read it
+// without -metrics; the journal is armed for the live /events stream.
+func (c *CLI) sinks() []sink {
+	live := c.pprofAddr != ""
+	return []sink{{
+		flag: "metrics", path: &c.metricsPath,
+		on:  c.metricsPath != "" || live || c.sloPath != "" || c.seriesPath != "",
+		set: Default.SetEnabled,
+		write: func(w io.Writer) error {
+			s := Default.Snapshot()
+			if DefaultDTracer.Enabled() {
+				st := DefaultDTracer.Stats()
+				s.DTrace = &st
+			}
+			return s.WriteJSON(w)
+		},
+	}, {
+		flag: "dtrace", path: &c.dtracePath, on: c.dtracePath != "",
+		set: func(on bool) {
+			if on {
+				DefaultDTracer.SetProc(procName())
+				DefaultDTracer.SetSampleN(c.traceSample)
+				DefaultDTracer.SetCanonical(c.dtraceCanon)
+			}
+			DefaultDTracer.SetEnabled(on)
+		},
+		write:   DefaultDTracer.WriteJSONL,
+		dropped: func() int64 { return int64(DefaultDTracer.Stats().Dropped) },
+		what:    "span ring", unit: "span(s)",
+	}, {
+		flag: "profile", path: &c.profilePath, on: c.profilePath != "",
+		set: prof.Default.SetEnabled, write: prof.Default.WriteJSON,
+	}, {
+		flag: "journal", path: &c.journalPath, on: c.journalPath != "" || live,
+		set: func(on bool) {
+			if on {
+				journal.Default.SetMinLevel(c.level)
+			}
+			journal.Default.SetEnabled(on)
+		},
+		write:   journal.Default.WriteJSONL,
+		dropped: journal.Default.Dropped,
+		what:    "journal", unit: "event(s)",
+	}, {
+		flag: "series", path: &c.seriesPath, on: c.seriesPath != "",
+		set: func(on bool) {
+			if !on {
+				DefaultSeries.armed.Store(false)
+				return
+			}
+			// Burn-rate rules evaluate synchronously as each window is
+			// cut, so a trajectory violation reaches the journal mid-run
+			// with the window's own key, deterministic in model-tick mode.
+			var onWindow func(t int64)
+			if eng := c.engine; eng != nil && eng.HasBurnRules() {
+				onWindow = func(t int64) { emitFirings(eng.EvalBurn(t, DefaultSeries.WindowLookup)) }
+			}
+			DefaultSeries.Arm(Default, onWindow)
+		},
+		write:   DefaultSeries.WriteJSONL,
+		dropped: DefaultSeries.Dropped,
+		what:    "series", unit: "window(s)",
+	}}
+}
+
+// Activate validates every flag and loads the SLO rules, then creates
+// each requested output file, arms its sink, and starts the debug server.
 // Call after flag.Parse. Output paths are created here so an unwritable
 // path fails the run up front instead of silently losing the snapshot
-// at Close.
+// at Close. A failed Activate leaves every sink disarmed and starts no
+// goroutine.
 func (c *CLI) Activate() error {
-	if c.metricsPath != "" || c.pprofAddr != "" || c.sloPath != "" || c.seriesPath != "" {
-		if err := touch(c.metricsPath); err != nil {
-			return fmt.Errorf("-metrics: %w", err)
-		}
-		Default.SetEnabled(true)
+	if err := c.validate(); err != nil {
+		return err
 	}
-	if c.traceSample < 1 {
-		return fmt.Errorf("-trace-sample: must be >= 1 (got %d)", c.traceSample)
+	sinks := c.sinks()
+	fail := func(err error) error {
+		for _, s := range sinks {
+			if s.on {
+				s.set(false)
+			}
+		}
+		c.engine = nil
+		return err
 	}
-	if c.sloInterval < 0 {
-		return fmt.Errorf("-slo-interval: must be >= 0 (got %v)", c.sloInterval)
-	}
-	if c.seriesEvery < 0 {
-		return fmt.Errorf("-series-interval: must be >= 0 (got %v)", c.seriesEvery)
-	}
-	if c.dtracePath != "" {
-		if err := touch(c.dtracePath); err != nil {
-			return fmt.Errorf("-dtrace: %w", err)
+	for _, s := range sinks {
+		if !s.on {
+			continue
 		}
-		DefaultDTracer.SetProc(procName())
-		DefaultDTracer.SetSampleN(c.traceSample)
-		DefaultDTracer.SetCanonical(c.dtraceCanon)
-		DefaultDTracer.SetEnabled(true)
-	}
-	if c.profilePath != "" {
-		if err := touch(c.profilePath); err != nil {
-			return fmt.Errorf("-profile: %w", err)
+		if *s.path != "" {
+			if err := os.WriteFile(*s.path, nil, 0o666); err != nil {
+				return fail(fmt.Errorf("-%s: %w", s.flag, err))
+			}
 		}
-		prof.Default.SetEnabled(true)
-	}
-	if c.journalPath != "" || c.pprofAddr != "" {
-		if err := touch(c.journalPath); err != nil {
-			return fmt.Errorf("-journal: %w", err)
-		}
-		lv, err := journal.ParseLevel(c.journalLevel)
-		if err != nil {
-			return fmt.Errorf("-journal-level: %w", err)
-		}
-		journal.Default.SetMinLevel(lv)
-		journal.Default.SetEnabled(true)
-	}
-	if c.sloPath != "" {
-		rules, err := slo.LoadFile(c.sloPath)
-		if err != nil {
-			return fmt.Errorf("-slo: %w", err)
-		}
-		c.engine = slo.NewEngine(rules)
-		if c.sloInterval > 0 {
-			c.stopEval = make(chan struct{})
-			go c.evalLoop()
-		}
-	}
-	if c.seriesEvery != 0 && c.seriesPath == "" {
-		return fmt.Errorf("-series-interval requires -series")
-	}
-	if c.seriesPath != "" {
-		if err := touch(c.seriesPath); err != nil {
-			return fmt.Errorf("-series: %w", err)
-		}
-		c.sink = GetSeriesSink()
-		if c.sink == nil {
-			return fmt.Errorf("-series: no series recorder linked into this binary (import repro/internal/obs/ts)")
-		}
-		// Burn-rate rules evaluate synchronously as each window is cut,
-		// so a trajectory violation reaches the journal mid-run with the
-		// window's own key, deterministic in model-tick mode.
-		var onWindow func(t int64)
-		if c.engine != nil && c.engine.HasBurnRules() {
-			eng, sink := c.engine, c.sink
-			onWindow = func(t int64) { emitFirings(eng.EvalBurn(t, sink.WindowLookup)) }
-		}
-		c.sink.Arm(Default, onWindow)
-		if c.seriesEvery > 0 {
-			c.stopSeries = make(chan struct{})
-			go c.seriesLoop()
-		}
-	}
-	if c.engine != nil && c.engine.HasBurnRules() && c.sink == nil {
-		fmt.Fprintf(os.Stderr, "obs: rules file has burn-rate rules but -series is not set; they will stay silent\n")
+		s.set(true)
 	}
 	if c.pprofAddr != "" {
-		cfg := ServerConfig{
-			Registry: Default,
-			Journal:  journal.Default,
-			Progress: ProgressSource(),
-		}
+		cfg := ServerConfig{Registry: Default, Journal: journal.Default}
 		if c.engine != nil {
 			eng := c.engine
 			cfg.Alerts = func() []byte { return slo.MarshalFirings(eng.Firings()) }
 		}
 		addr, shutdown, err := ServeConfig(c.pprofAddr, cfg)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		c.shutdown = shutdown
 		fmt.Fprintf(os.Stderr, "obs: pprof/metrics/events/progress on http://%s/\n", addr)
 	}
+	c.stop = make(chan struct{})
+	if c.engine != nil && c.sloInterval > 0 {
+		// Surface budget violations while a long-running tool executes;
+		// firings also reach /events subscribers through the journal.
+		eng := c.engine
+		c.every(c.sloInterval, func() {
+			snap := Default.Snapshot()
+			emitFirings(eng.Eval(journal.TEnd, snap.Lookup))
+		})
+	}
+	if c.seriesEvery > 0 {
+		// Wall-clock windows for tools with no model clock (gateway,
+		// loadgen); burn-rate evaluation rides the onWindow callback.
+		c.every(c.seriesEvery, DefaultSeries.TickWall)
+	}
 	return nil
 }
 
-// evalLoop periodically evaluates SLO rules against live snapshots so
-// long-running tools surface budget violations while they execute (the
-// firing also reaches /events subscribers through the journal).
-func (c *CLI) evalLoop() {
-	tick := time.NewTicker(c.sloInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stopEval:
-			return
-		case <-tick.C:
-			snap := Default.Snapshot()
-			emitFirings(c.engine.Eval(journal.TEnd, snap.Lookup))
-		}
+// validate checks every flag and loads the SLO rules, arming nothing.
+func (c *CLI) validate() error {
+	switch {
+	case c.traceSample < 1:
+		return fmt.Errorf("-trace-sample: must be >= 1 (got %d)", c.traceSample)
+	case c.sloInterval < 0:
+		return fmt.Errorf("-slo-interval: must be >= 0 (got %v)", c.sloInterval)
+	case c.seriesEvery < 0:
+		return fmt.Errorf("-series-interval: must be >= 0 (got %v)", c.seriesEvery)
+	case c.seriesEvery != 0 && c.seriesPath == "":
+		return fmt.Errorf("-series-interval requires -series")
 	}
+	lv, err := journal.ParseLevel(c.journalLevel)
+	if err != nil {
+		return fmt.Errorf("-journal-level: %w", err)
+	}
+	c.level = lv
+	if c.sloPath == "" {
+		return nil
+	}
+	rules, err := slo.LoadFile(c.sloPath)
+	if err != nil {
+		return fmt.Errorf("-slo: %w", err)
+	}
+	c.engine = slo.NewEngine(rules)
+	if c.engine.HasBurnRules() && c.seriesPath == "" {
+		fmt.Fprintf(os.Stderr, "obs: rules file has burn-rate rules but -series is not set; they will stay silent\n")
+	}
+	return nil
 }
 
-// seriesLoop cuts wall-clock windows on the -series-interval period for
-// tools with no model clock (gateway, loadgen). Burn-rate evaluation
-// rides the recorder's onWindow callback.
-func (c *CLI) seriesLoop() {
-	tick := time.NewTicker(c.seriesEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stopSeries:
-			return
-		case <-tick.C:
-			c.sink.TickWall()
+// every starts a goroutine calling fn on each tick of period d; Close
+// stops it and waits for it to exit.
+func (c *CLI) every(d time.Duration, fn func()) {
+	stop := c.stop
+	c.loops.Add(1)
+	go func() {
+		defer c.loops.Done()
+		tick := time.NewTicker(d)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				fn()
+			}
 		}
-	}
+	}()
 }
 
 // emitFirings turns fired rules into journal events so they reach the
@@ -263,81 +304,51 @@ func emitFirings(firings []slo.Firing) {
 	}
 }
 
-// finishSLO runs the end-of-run rule evaluation exactly once, emits
-// journal events for fresh firings, and prints a summary to stderr.
+// finishSLO runs the end-of-run rule evaluation, emits journal events
+// for fresh firings, and prints a summary to stderr. It runs once:
+// Close drops the engine after it.
 func (c *CLI) finishSLO() {
-	if c.engine == nil || c.sloDone {
+	if c.engine == nil {
 		return
-	}
-	c.sloDone = true
-	if c.stopEval != nil {
-		close(c.stopEval)
-		c.stopEval = nil
 	}
 	snap := Default.Snapshot()
 	emitFirings(c.engine.Eval(journal.TEnd, snap.Lookup))
-	if c.sink != nil {
+	if c.seriesPath != "" {
 		// One last burn evaluation over whatever windows exist, so a
 		// violation in the final partial span is not lost.
-		emitFirings(c.engine.EvalBurn(journal.TEnd, c.sink.WindowLookup))
+		emitFirings(c.engine.EvalBurn(journal.TEnd, DefaultSeries.WindowLookup))
 	}
 	if all := c.engine.Firings(); len(all) > 0 {
 		fmt.Fprintf(os.Stderr, "slo: %d rule(s) fired:\n%s", len(all), slo.Summary(all))
 	}
 }
 
-// Close writes the requested metrics/span/profile/journal files, stops
-// the debug server, and evaluates SLO rules a final time. Safe to call
-// when no flags were set, and idempotent enough to both defer and call
-// explicitly before os.Exit. With -slo-strict it returns ErrSLOStrict
+// Close evaluates SLO rules a final time, writes every requested sink
+// file, and stops the debug server. Safe to call when no flags were
+// set, and idempotent enough to both defer and call explicitly before
+// os.Exit. With -slo-strict it returns ErrSLOStrict
 // (wrapped) if any crit-severity rule fired.
 func (c *CLI) Close() error {
-	var first error
-	if c.stopSeries != nil {
-		close(c.stopSeries)
-		c.stopSeries = nil
+	if c.stop != nil {
+		close(c.stop)
+		c.loops.Wait()
+		c.stop = nil
 	}
 	c.finishSLO()
-	if c.seriesPath != "" && c.sink != nil {
-		if err := c.sink.WriteFile(c.seriesPath); err != nil && first == nil {
-			first = err
+	var first error
+	for _, s := range c.sinks() {
+		if *s.path == "" {
+			continue
 		}
-		c.seriesPath = ""
-	}
-	if c.metricsPath != "" {
-		s := Default.Snapshot()
-		if DefaultDTracer.Enabled() {
-			st := DefaultDTracer.Stats()
-			s.DTrace = &st
+		if s.dropped != nil {
+			if n := s.dropped(); n > 0 {
+				fmt.Fprintf(os.Stderr, "obs: %s capacity reached, %d %s dropped\n", s.what, n, s.unit)
+			}
 		}
-		if err := s.WriteFile(c.metricsPath); err != nil && first == nil {
-			first = err
+		if err := writeFile(*s.path, s.write); err != nil && first == nil {
+			first = fmt.Errorf("-%s: %w", s.flag, err)
 		}
-		c.metricsPath = ""
-	}
-	if c.dtracePath != "" {
-		if st := DefaultDTracer.Stats(); st.Dropped > 0 {
-			fmt.Fprintf(os.Stderr, "obs: span ring capacity reached, %d span(s) dropped\n", st.Dropped)
-		}
-		if err := DefaultDTracer.WriteFile(c.dtracePath); err != nil && first == nil {
-			first = err
-		}
-		c.dtracePath = ""
-	}
-	if c.profilePath != "" {
-		if err := prof.Default.WriteFile(c.profilePath); err != nil && first == nil {
-			first = err
-		}
-		c.profilePath = ""
-	}
-	if c.journalPath != "" {
-		if n := journal.Default.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "obs: journal capacity reached, %d event(s) dropped\n", n)
-		}
-		if err := journal.Default.WriteFile(c.journalPath); err != nil && first == nil {
-			first = err
-		}
-		c.journalPath = ""
+		*s.path = ""
 	}
 	if c.shutdown != nil {
 		if err := c.shutdown(); err != nil && first == nil {
@@ -345,14 +356,10 @@ func (c *CLI) Close() error {
 		}
 		c.shutdown = nil
 	}
-	if c.engine != nil {
-		if c.sloStrict && c.engine.CritCount() > 0 {
-			if first == nil {
-				first = fmt.Errorf("slo: %d crit rule(s): %w", c.engine.CritCount(), ErrSLOStrict)
-			}
-		}
-		c.engine = nil
+	if c.engine != nil && c.sloStrict && c.engine.CritCount() > 0 && first == nil {
+		first = fmt.Errorf("slo: %d crit rule(s): %w", c.engine.CritCount(), ErrSLOStrict)
 	}
+	c.engine = nil
 	return first
 }
 
@@ -379,15 +386,19 @@ func procName() string {
 	return filepath.Base(os.Args[0])
 }
 
-// touch creates (or truncates) path so permission/path errors surface at
-// Activate time. Empty paths are ignored.
-func touch(path string) error {
-	if path == "" {
-		return nil
-	}
+// writeFile writes one sink's output to path through a buffer.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	return f.Close()
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

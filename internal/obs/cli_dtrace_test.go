@@ -3,6 +3,7 @@ package obs
 import (
 	"flag"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -29,15 +30,12 @@ func TestBindFlagsRegistersDTrace(t *testing.T) {
 func TestActivateBadTraceSample(t *testing.T) {
 	disarmDefaults(t)
 	disarmDTracer(t)
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := BindFlags(fs)
-	if err := fs.Parse([]string{"-dtrace", filepath.Join(t.TempDir(), "t.jsonl"), "-trace-sample", "0"}); err != nil {
-		t.Fatal(err)
-	}
-	err := c.Activate()
+	before := runtime.NumGoroutine()
+	_, err := activate(t, "-dtrace", filepath.Join(t.TempDir(), "t.jsonl"), "-trace-sample", "0")
 	if err == nil || !strings.Contains(err.Error(), "-trace-sample") {
 		t.Fatalf("zero sample rate accepted: %v", err)
 	}
+	assertInert(t, before)
 }
 
 // TestActivateDTraceWritesSpans drives the flag path end to end: -dtrace
@@ -48,12 +46,8 @@ func TestActivateDTraceWritesSpans(t *testing.T) {
 	disarmDefaults(t)
 	disarmDTracer(t)
 	path := filepath.Join(t.TempDir(), "spans.jsonl")
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := BindFlags(fs)
-	if err := fs.Parse([]string{"-dtrace", path, "-dtrace-canon", "-trace-sample", "1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Activate(); err != nil {
+	c, err := activate(t, "-dtrace", path, "-dtrace-canon", "-trace-sample", "1")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !DefaultDTracer.Enabled() {

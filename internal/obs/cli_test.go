@@ -4,10 +4,15 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs/journal"
 	"repro/internal/obs/prof"
@@ -25,7 +30,34 @@ func disarmDefaults(t *testing.T) {
 		journal.Default.SetEnabled(false)
 		journal.Default.SetMinLevel(journal.LevelInfo)
 		journal.Default.Reset()
+		DefaultSeries.armed.Store(false)
 	})
+}
+
+// activate binds a fresh CLI, parses args and runs Activate.
+func activate(t *testing.T, args ...string) (*CLI, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	c := BindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return c, c.Activate()
+}
+
+// assertInert fails unless all five default sinks are disarmed and no
+// goroutine outlived a failed Activate that started with before.
+func assertInert(t *testing.T, before int) {
+	t.Helper()
+	if Default.Enabled() || DefaultDTracer.Enabled() || prof.Default.Enabled() ||
+		journal.Default.Enabled() || DefaultSeries.armed.Load() {
+		t.Fatalf("failed Activate left a sink armed: metrics=%v dtrace=%v profile=%v journal=%v series=%v",
+			Default.Enabled(), DefaultDTracer.Enabled(), prof.Default.Enabled(),
+			journal.Default.Enabled(), DefaultSeries.armed.Load())
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("failed Activate leaked goroutines: %d -> %d", before, n)
+	}
 }
 
 func TestBindFlagsRegistersAll(t *testing.T) {
@@ -44,12 +76,8 @@ func TestBindFlagsRegistersAll(t *testing.T) {
 
 func TestActivateNoFlagsIsInert(t *testing.T) {
 	disarmDefaults(t)
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := BindFlags(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Activate(); err != nil {
+	c, err := activate(t)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if Default.Enabled() || DefaultDTracer.Enabled() || prof.Default.Enabled() {
@@ -60,22 +88,38 @@ func TestActivateNoFlagsIsInert(t *testing.T) {
 	}
 }
 
+// TestActivateUnwritablePathFails arms every file sink with one path
+// unwritable, so the sinks armed before it must be rolled back; an
+// unlistenable -pprof address fails after all of them are armed.
 func TestActivateUnwritablePathFails(t *testing.T) {
 	disarmDefaults(t)
-	for _, flagName := range []string{"metrics", "dtrace", "profile"} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		c := BindFlags(fs)
-		bad := filepath.Join(t.TempDir(), "no-such-dir", "out.json")
-		if err := fs.Parse([]string{"-" + flagName, bad}); err != nil {
-			t.Fatal(err)
+	flags := []string{"metrics", "dtrace", "profile", "journal", "series", "pprof"}
+	for _, bad := range flags {
+		dir := t.TempDir()
+		var args []string
+		for _, name := range flags[:5] {
+			path := filepath.Join(dir, name+".out")
+			if name == bad {
+				path = filepath.Join(dir, "no-such-dir", "out.json")
+			}
+			args = append(args, "-"+name, path)
 		}
-		err := c.Activate()
+		if bad == "pprof" {
+			args = append(args, "-pprof", "127.0.0.1:-1")
+		}
+		before := runtime.NumGoroutine()
+		_, err := activate(t, args...)
 		if err == nil {
-			t.Fatalf("-%s with unwritable path: Activate succeeded, want error", flagName)
+			t.Fatalf("-%s unusable: Activate succeeded, want error", bad)
 		}
-		if !strings.Contains(err.Error(), "-"+flagName) {
-			t.Errorf("-%s error %q does not name the flag", flagName, err)
+		want := "-" + bad
+		if bad == "pprof" {
+			want = "pprof listen"
 		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("-%s error %q does not name the flag", bad, err)
+		}
+		assertInert(t, before)
 	}
 }
 
@@ -86,14 +130,8 @@ func TestSnapshotsWrittenOnClose(t *testing.T) {
 	dtracePath := filepath.Join(dir, "spans.jsonl")
 	profilePath := filepath.Join(dir, "profile.json")
 
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := BindFlags(fs)
-	if err := fs.Parse([]string{
-		"-metrics", metricsPath, "-dtrace", dtracePath, "-profile", profilePath,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Activate(); err != nil {
+	c, err := activate(t, "-metrics", metricsPath, "-dtrace", dtracePath, "-profile", profilePath)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !Default.Enabled() || !DefaultDTracer.Enabled() || !prof.Default.Enabled() {
@@ -163,12 +201,8 @@ func TestSnapshotsWrittenOnClose(t *testing.T) {
 func TestJournalWrittenOnClose(t *testing.T) {
 	disarmDefaults(t)
 	jpath := filepath.Join(t.TempDir(), "run.jsonl")
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := BindFlags(fs)
-	if err := fs.Parse([]string{"-journal", jpath, "-journal-level", "debug"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Activate(); err != nil {
+	c, err := activate(t, "-journal", jpath, "-journal-level", "debug")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !journal.Default.Enabled() || !journal.On(journal.LevelDebug) {
@@ -187,16 +221,23 @@ func TestJournalWrittenOnClose(t *testing.T) {
 	}
 }
 
+// TestActivateBadJournalLevel checks that flags are validated before any
+// output file is touched: a bad level leaves -metrics' file as it was.
 func TestActivateBadJournalLevel(t *testing.T) {
 	disarmDefaults(t)
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := BindFlags(fs)
-	jpath := filepath.Join(t.TempDir(), "run.jsonl")
-	if err := fs.Parse([]string{"-journal", jpath, "-journal-level", "loud"}); err != nil {
+	dir := t.TempDir()
+	mpath := filepath.Join(dir, "m.json")
+	if err := os.WriteFile(mpath, []byte("previous run\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Activate(); err == nil || !strings.Contains(err.Error(), "-journal-level") {
+	before := runtime.NumGoroutine()
+	_, err := activate(t, "-metrics", mpath, "-journal", filepath.Join(dir, "run.jsonl"), "-journal-level", "loud")
+	if err == nil || !strings.Contains(err.Error(), "-journal-level") {
 		t.Fatalf("bad -journal-level: Activate err = %v, want flag-naming error", err)
+	}
+	assertInert(t, before)
+	if blob, err := os.ReadFile(mpath); err != nil || string(blob) != "previous run\n" {
+		t.Fatalf("failed Activate touched -metrics file: %q, %v", blob, err)
 	}
 }
 
@@ -204,14 +245,149 @@ func TestActivateNegativeIntervals(t *testing.T) {
 	disarmDefaults(t)
 	dir := t.TempDir()
 	for _, name := range []string{"-series-interval", "-slo-interval"} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		c := BindFlags(fs)
-		if err := fs.Parse([]string{"-series", filepath.Join(dir, "s.jsonl"), name, "-1s"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Activate(); err == nil || !strings.Contains(err.Error(), name) {
+		before := runtime.NumGoroutine()
+		_, err := activate(t, "-series", filepath.Join(dir, "s.jsonl"), name, "-1s")
+		if err == nil || !strings.Contains(err.Error(), name) {
 			t.Fatalf("negative %s: Activate err = %v, want flag-naming error", name, err)
 		}
+		assertInert(t, before)
+	}
+}
+
+// TestActivateSeriesIntervalNeedsSeries: the rules load and the SLO
+// interval is valid, but -series-interval without -series fails, and
+// must not leave the SLO eval loop running.
+func TestActivateSeriesIntervalNeedsSeries(t *testing.T) {
+	disarmDefaults(t)
+	rpath := filepath.Join(t.TempDir(), "r.json")
+	if err := os.WriteFile(rpath, []byte(sloRule("cli_test.interval", "warn")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	_, err := activate(t, "-slo", rpath, "-slo-interval", "1s", "-series-interval", "1s")
+	if err == nil || !strings.Contains(err.Error(), "-series-interval requires -series") {
+		t.Fatalf("Activate err = %v, want -series-interval requires -series", err)
+	}
+	assertInert(t, before)
+}
+
+// TestProgressResolvedPerRequest: the cmd registers its progress source
+// after Activate has started the debug server, and /progress must serve
+// it.
+func TestProgressResolvedPerRequest(t *testing.T) {
+	disarmDefaults(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	c, err := activate(t, "-pprof", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	SetProgressSource(func() []byte { return []byte(`{"source":"cli_test"}`) })
+	resp, err := http.Get("http://" + addr + "/progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(body) != `{"source":"cli_test"}` {
+		t.Fatalf("/progress = %d %q, want the source registered after Activate", resp.StatusCode, body)
+	}
+}
+
+// TestSeriesModelTicksWritten: -series arms the default recorder, the
+// cmd's SeriesTick calls cut model-time windows, and Close writes them.
+func TestSeriesModelTicksWritten(t *testing.T) {
+	disarmDefaults(t)
+	path := filepath.Join(t.TempDir(), "s.jsonl")
+	c, err := activate(t, "-series", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	C("cli_test.series").Add(2)
+	SeriesTick(10)
+	C("cli_test.series").Add(3)
+	SeriesTick(20)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := ReadSeries(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ws) != 2 || ws[0].T != 10 || ws[1].T != 20 {
+		t.Fatalf("windows = %+v, want t=10 and t=20", ws)
+	}
+	for i, want := range []int64{2, 3} {
+		if len(ws[i].Counters) != 1 || ws[i].Counters[0].Name != "cli_test.series" || ws[i].Counters[0].Value != want {
+			t.Fatalf("window %d counters = %+v, want cli_test.series=%d", i, ws[i].Counters, want)
+		}
+	}
+}
+
+// TestSeriesBurnRuleFiresOnWindow: a burn-rate rule is evaluated as each
+// window is cut, so its firing carries the window's t_sim, not the
+// end-of-run -1.
+func TestSeriesBurnRuleFiresOnWindow(t *testing.T) {
+	disarmDefaults(t)
+	dir := t.TempDir()
+	rpath := filepath.Join(dir, "r.json")
+	rule := `[{"name":"cli-burn","metric":"cli_test.burn","op":">","threshold":1,` +
+		`"severity":"warn","burn":{"fast":1,"slow":2},"reason":"test"}]`
+	if err := os.WriteFile(rpath, []byte(rule), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := activate(t, "-slo", rpath, "-series", filepath.Join(dir, "s.jsonl"),
+		"-journal", filepath.Join(dir, "run.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	C("cli_test.burn").Add(5)
+	SeriesTick(1)
+	C("cli_test.burn").Add(5)
+	SeriesTick(2)
+	var fired []journal.Event
+	for _, e := range journal.Default.Events() {
+		if e.Name == "slo_fired" && e.Get("rule") == "cli-burn" {
+			fired = append(fired, e)
+		}
+	}
+	if len(fired) != 1 || fired[0].TSim != 2 {
+		t.Fatalf("burn firings = %+v, want one at t_sim 2", fired)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSeriesIntervalCutsWallWindows: with -series-interval the CLI cuts
+// windows on the wall clock, keyed by milliseconds since Activate.
+func TestSeriesIntervalCutsWallWindows(t *testing.T) {
+	disarmDefaults(t)
+	path := filepath.Join(t.TempDir(), "s.jsonl")
+	c, err := activate(t, "-series", path, "-series-interval", "2ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(DefaultSeries.Windows()) < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("no wall-clock windows cut within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := ReadSeries(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ws) < 2 || ws[1].T < ws[0].T || ws[1].I != 1 {
+		t.Fatalf("wall windows = %+v, want >= 2 in tick order", ws)
 	}
 }
 
@@ -238,12 +414,8 @@ func sloCLI(t *testing.T, rules string, strict bool, arm func()) error {
 	if strict {
 		args = append(args, "-slo-strict")
 	}
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := BindFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Activate(); err != nil {
+	c, err := activate(t, args...)
+	if err != nil {
 		t.Fatal(err)
 	}
 	arm()

@@ -445,29 +445,16 @@ func toLine(r SpanRec) spanLine {
 
 // WriteJSONL exports the sorted spans, one JSON object per line.
 func (t *DTracer) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
 	for _, r := range t.Spans() {
 		blob, err := json.Marshal(toLine(r))
 		if err != nil {
 			return err
 		}
-		bw.Write(blob)
-		bw.WriteByte('\n')
+		if _, err := w.Write(append(blob, '\n')); err != nil {
+			return err
+		}
 	}
-	return bw.Flush()
-}
-
-// WriteFile writes the span JSONL to path.
-func (t *DTracer) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := t.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 // ReadSpans loads a span JSONL stream, returning the parsed spans and

@@ -336,33 +336,3 @@ func TestHistogramExemplars(t *testing.T) {
 		t.Fatalf("count %d, want 3", snap.Histograms[0].Count)
 	}
 }
-
-// TestDisarmedDSpanZeroAllocs pins the disarmed fast path: creating and
-// ending spans against a disarmed tracer allocates nothing.
-func TestDisarmedDSpanZeroAllocs(t *testing.T) {
-	tr := NewDTracer(64)
-	trace := TraceID(5, 5)
-	allocs := testing.AllocsPerRun(1000, func() {
-		sp := tr.Root(trace, "load", "session")
-		c := sp.Child("load", "attempt")
-		c.Event("load", "dial", 0, 1, 0)
-		c.End()
-		sp.End()
-	})
-	if allocs != 0 {
-		t.Fatalf("disarmed span path allocates %v/op, want 0", allocs)
-	}
-}
-
-// BenchmarkDisarmedDSpan is the CI-enforced cost of tracing you did not
-// ask for: one atomic load per site, zero allocations.
-func BenchmarkDisarmedDSpan(b *testing.B) {
-	tr := NewDTracer(64)
-	trace := TraceID(6, 6)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := tr.Root(trace, "load", "session")
-		sp.Event("load", "dial", 0, 1, 0)
-		sp.End()
-	}
-}

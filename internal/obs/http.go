@@ -19,7 +19,6 @@ import (
 type ServerConfig struct {
 	Registry *Registry
 	Journal  *journal.Journal // /events streams this journal's emissions
-	Progress func() []byte    // /progress payload (see SetProgressSource)
 	Alerts   func() []byte    // /alerts payload (fired SLO rules as JSON)
 
 	// MetricsInterval is the /events metric-delta period (default 1s).
@@ -32,7 +31,8 @@ type ServerConfig struct {
 //	/debug/vars        expvar (cmdline, memstats)
 //	/metrics           the registry snapshot as JSON
 //	/events            SSE stream of journal events + periodic metric deltas
-//	/progress          live sweep progress (completed/total, per-worker, ETA)
+//	/progress          the registered progress source's live state
+//	                   (see SetProgressSource); 404 until one registers
 //	/alerts            fired SLO rules as JSON
 //
 // It returns the bound address (useful with ":0") and a shutdown
@@ -68,12 +68,13 @@ func ServeConfig(addr string, cfg ServerConfig) (string, func() error, error) {
 		_ = WriteProm(w, &snap)
 	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
-		if cfg.Progress == nil {
+		progress := ProgressSource()
+		if progress == nil {
 			http.Error(w, "no progress source registered", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(cfg.Progress())
+		_, _ = w.Write(progress())
 	})
 	mux.HandleFunc("/alerts", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

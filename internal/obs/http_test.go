@@ -82,7 +82,6 @@ func TestServeEventsStream(t *testing.T) {
 	j.SetEnabled(true)
 	addr, shutdown, err := ServeConfig("127.0.0.1:0", ServerConfig{
 		Journal:         j,
-		Progress:        func() []byte { return []byte(`{"active":true,"done":3,"total":9}`) },
 		MetricsInterval: time.Hour, // keep metric ticks out of the stream
 	})
 	if err != nil {
@@ -117,6 +116,7 @@ func TestServeEventsStream(t *testing.T) {
 		t.Fatalf("journal frame content wrong: %s", data)
 	}
 
+	SetProgressSource(func() []byte { return []byte(`{"active":true,"done":3,"total":9}`) })
 	presp, err := http.Get("http://" + addr + "/progress")
 	if err != nil {
 		t.Fatal(err)

@@ -246,7 +246,7 @@ func Read(r io.Reader) ([]Event, int, error) {
 	return events, skipped, nil
 }
 
-// LoadFile reads a JSONL journal file written by WriteFile.
+// LoadFile reads a JSONL journal file written by WriteJSONL.
 func LoadFile(path string) ([]Event, int, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -29,7 +29,6 @@ package journal
 import (
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -337,19 +336,6 @@ func (j *Journal) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteFile writes the merged events to path as JSONL.
-func (j *Journal) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := j.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Default is the process-wide journal the instrumented layers emit to.

@@ -5,9 +5,10 @@ import (
 )
 
 // progressSource is the process-wide /progress JSON provider. The sweep
-// engine (internal/par) registers itself here at init, which keeps obs
-// free of a par import while letting the HTTP server report per-worker
-// sweep throughput.
+// engine (internal/par) registers itself at init; the fleet simulator,
+// gateway and load generator register theirs when they start, which may
+// be after the debug server is up, so the server resolves it on every
+// request. Registering here keeps obs free of imports back into them.
 var progressSource atomic.Value // of func() []byte
 
 // SetProgressSource registers fn as the /progress payload provider.
@@ -22,41 +23,6 @@ func SetProgressSource(fn func() []byte) {
 func ProgressSource() func() []byte {
 	fn, _ := progressSource.Load().(func() []byte)
 	return fn
-}
-
-// SeriesSink is the windowed time-series recorder interface the CLI
-// drives when -series is set. internal/obs/ts registers its Default
-// recorder here at init (same cycle-avoidance shape as progressSource:
-// ts imports obs for Snapshot, so obs cannot import ts back).
-type SeriesSink interface {
-	// Arm starts recording against the registry. OnWindow (nil ok) is
-	// invoked synchronously after each window is cut, with the window's
-	// key (t_sim or wall ms).
-	Arm(reg *Registry, onWindow func(t int64))
-	// TickWall cuts a window keyed by wall-clock ms since Arm.
-	TickWall()
-	// WindowLookup resolves (metric, agg) over the trailing n windows;
-	// ok=false when fewer than n windows exist or the metric was never
-	// seen. Shaped for slo.WindowLookup.
-	WindowLookup(metric, agg string, n int) (float64, bool)
-	// WriteFile writes the recorded windows as JSONL.
-	WriteFile(path string) error
-}
-
-var seriesSink atomic.Value // of SeriesSink
-
-// SetSeriesSink registers the process-wide series recorder. Later
-// registrations win; nil is ignored.
-func SetSeriesSink(s SeriesSink) {
-	if s != nil {
-		seriesSink.Store(s)
-	}
-}
-
-// GetSeriesSink returns the registered series recorder, or nil.
-func GetSeriesSink() SeriesSink {
-	s, _ := seriesSink.Load().(SeriesSink)
-	return s
 }
 
 // Lookup resolves an SLO rule's (metric, aggregation) pair against the

@@ -1,8 +1,11 @@
 // Package obs is the repository's zero-dependency observability layer:
 // a concurrent-safe metrics registry (counters, gauges, fixed-bucket
 // histograms), a hierarchical span tracer with a bounded ring buffer
-// (see dtrace.go), and opt-in pprof/expvar HTTP endpoints for the
-// long-running cmd tools (see http.go).
+// (see dtrace.go), a windowed time-series recorder over the registry
+// (see series.go), and opt-in pprof/expvar/live HTTP endpoints for the
+// long-running cmd tools (see http.go). Every cmd reaches them, and the
+// prof and journal subpackages, through one front door: the CLI's sink
+// table (see cli.go).
 //
 // The paper's headline figures are measurement claims; this package
 // makes the simulator's own spending measurable per layer, so a MIPS or
@@ -26,10 +29,8 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -333,19 +334,6 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteFile writes the snapshot JSON to path.
-func (s *Snapshot) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := s.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // Snapshot exports the registry's current state with all metric names
 // sorted, so the same set of observations always serializes identically.
 func (r *Registry) Snapshot() Snapshot {
@@ -401,12 +389,6 @@ func (r *Registry) Snapshot() Snapshot {
 func (r *Registry) WriteJSON(w io.Writer) error {
 	s := r.Snapshot()
 	return s.WriteJSON(w)
-}
-
-// WriteFile writes the snapshot JSON to path.
-func (r *Registry) WriteFile(path string) error {
-	s := r.Snapshot()
-	return s.WriteFile(path)
 }
 
 // Default is the process-wide registry the instrumented layers bind

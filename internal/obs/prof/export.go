@@ -90,19 +90,6 @@ func (p *Profiler) Snapshot() *Profile {
 // WriteJSON serializes the snapshot as indented JSON.
 func (p *Profiler) WriteJSON(w io.Writer) error { return p.Snapshot().WriteJSON(w) }
 
-// WriteFile writes the snapshot JSON to path.
-func (p *Profiler) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("prof: %w", err)
-	}
-	if err := p.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // WriteJSON serializes the profile as indented JSON.
 func (p *Profile) WriteJSON(w io.Writer) error {
 	cp := *p
@@ -118,7 +105,7 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// Load reads a profile JSON file written by WriteFile.
+// Load reads a profile JSON file written by WriteJSON.
 func Load(path string) (*Profile, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs/history"
 	"repro/internal/obs/journal"
 	"repro/internal/obs/prof"
-	"repro/internal/obs/ts"
 )
 
 // Data is everything a report can include; nil/empty sections are
@@ -38,7 +37,7 @@ type Data struct {
 	JournalSkipped int
 	// Series holds the windowed metric time series (the -series JSONL);
 	// the timeline panel shades windows where an SLO rule fired.
-	Series  []ts.Window
+	Series  []obs.SeriesWindow
 	History []history.Record
 	TopN    int // rows per top table (default 15)
 }
@@ -332,7 +331,7 @@ func writeMetricsSection(b *strings.Builder, s *obs.Snapshot) {
 // sparkline row per metric across all windows, with the windows where
 // an SLO rule fired shaded red so a burn that self-healed before the
 // run ended is still visible at a glance.
-func writeSeriesSection(b *strings.Builder, windows []ts.Window, events []journal.Event) {
+func writeSeriesSection(b *strings.Builder, windows []obs.SeriesWindow, events []journal.Event) {
 	b.WriteString("<h2>Metric timeline</h2>\n")
 	fmt.Fprintf(b, "<p class=\"note\">%d windows (t=%d…%d). Counters plot per-window deltas, "+
 		"gauges their end-of-window value, histograms the per-window p95. "+

@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs/history"
 	"repro/internal/obs/journal"
 	"repro/internal/obs/prof"
-	"repro/internal/obs/ts"
 )
 
 func fullData() Data {
@@ -29,11 +28,11 @@ func fullData() Data {
 			{TSim: 20, Level: journal.LevelWarn, Layer: "slo", Name: "slo_fired",
 				Fields: []journal.Field{journal.S("rule", "retry-burn"), journal.S("severity", "warn")}},
 		},
-		Series: []ts.Window{
+		Series: []obs.SeriesWindow{
 			{I: 0, T: 10,
 				Counters: []obs.CounterValue{{Name: "load.retries", Value: 1}},
 				Gauges:   []obs.GaugeValue{{Name: "gw.active", Value: 3}},
-				Histograms: []ts.HistWindow{
+				Histograms: []obs.SeriesHist{
 					{Name: "arq.frame_bytes", Count: 2, Sum: 3000, P50: 1000, P95: 2000, P99: 2000}}},
 			{I: 1, T: 20,
 				Counters: []obs.CounterValue{{Name: "load.retries", Value: 4}},
@@ -142,7 +141,7 @@ func TestFlameWidthsProportional(t *testing.T) {
 // the window whose t matches a firing's t_sim gets a red band, and
 // end-of-run firings (t=-1) shade nothing.
 func TestSeriesShadingMarksFiringWindow(t *testing.T) {
-	windows := []ts.Window{
+	windows := []obs.SeriesWindow{
 		{I: 0, T: 10, Counters: []obs.CounterValue{{Name: "c", Value: 1}}},
 		{I: 1, T: 20, Counters: []obs.CounterValue{{Name: "c", Value: 9}}},
 	}

@@ -169,7 +169,7 @@ type Lookup func(metric, agg string) (float64, bool)
 
 // WindowLookup resolves a (metric, aggregation) pair over the trailing
 // n time-series windows; ok=false means the metric was never seen or
-// fewer than n windows exist yet (obs/ts.Recorder.WindowLookup is the
+// fewer than n windows exist yet (obs.SeriesRecorder.WindowLookup is the
 // canonical implementation).
 type WindowLookup func(metric, agg string, n int) (float64, bool)
 
