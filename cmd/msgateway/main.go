@@ -82,7 +82,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "msgateway: %v\n", err)
 		os.Exit(1)
 	}
-	obs.SetProgressSource(srv.ProgressJSON)
+	obs.SetProgressSource(srv.Progress)
 	fmt.Printf("msgateway: listening on %s (max-conns %d, workers %d)\n",
 		srv.Addr(), *maxConns, *workers)
 

@@ -95,7 +95,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "msload: %v\n", err)
 		os.Exit(1)
 	}
-	obs.SetProgressSource(r.ProgressJSON)
+	obs.SetProgressSource(r.Progress)
 
 	rep := r.Run()
 	fmt.Printf("msload: %s\n", rep)

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/obs/journal"
 )
 
@@ -89,8 +90,11 @@ func (v *view) handle(ev sseEvent) {
 			fmt.Fprintln(v.w, line)
 		}
 	case "hello":
-		if ms, ok := jsonNumber([]byte(ev.data), "metric_interval_ms"); ok {
-			v.intervalMS = ms
+		var h struct {
+			IntervalMS float64 `json:"metric_interval_ms"`
+		}
+		if json.Unmarshal([]byte(ev.data), &h) == nil && h.IntervalMS > 0 {
+			v.intervalMS = h.IntervalMS
 		}
 		if v.verbose {
 			fmt.Fprintf(v.w, "connected %s\n", ev.data)
@@ -182,9 +186,9 @@ type slowSession struct {
 const maxSlow = 5
 
 // trackSlow watches wide per-session events that carry a trace_id and
-// keeps the slowest ones, reprinting the table whenever the set
-// changes — so the trace IDs worth investigating surface while the run
-// is still going.
+// keeps the slowest ones by duration_us, which client and server events
+// both carry, reprinting the table whenever the set changes — so the
+// trace IDs worth investigating surface while the run is still going.
 func (v *view) trackSlow(e journal.Event) {
 	if e.Name != "session" {
 		return
@@ -193,11 +197,7 @@ func (v *view) trackSlow(e journal.Event) {
 	if trace == "" {
 		return
 	}
-	dur := e.Get("duration_us")
-	if dur == "" {
-		dur = e.Get("handshake_us")
-	}
-	us, err := strconv.ParseInt(dur, 10, 64)
+	us, err := strconv.ParseInt(e.Get("duration_us"), 10, 64)
 	if err != nil {
 		return
 	}
@@ -240,74 +240,32 @@ func (v *view) progress(payload []byte) {
 }
 
 // formatProgress turns the /progress JSON into a one-line status, or ""
-// when no sweep has started yet.
+// when nothing has started yet.
 func formatProgress(payload []byte) (string, error) {
-	get := func(key string) (float64, bool) { return jsonNumber(payload, key) }
-	total, ok := get("total")
-	if !ok {
-		return "", fmt.Errorf("mswatch: progress payload missing total")
+	var p obs.Progress
+	if err := json.Unmarshal(payload, &p); err != nil {
+		return "", fmt.Errorf("mswatch: progress payload: %w", err)
 	}
-	if total == 0 {
+	if p.Total == 0 {
 		return "", nil
 	}
-	done, _ := get("done")
-	sweep, _ := get("sweep")
-	workers, _ := get("workers")
-	rate, _ := get("tasks_per_sec")
-	eta, _ := get("eta_ms")
-	active, _ := jsonBool(payload, "active")
-
-	pct := 100 * done / total
-	line := fmt.Sprintf("sweep %d: %d/%d tasks (%.1f%%), %d workers",
-		int64(sweep), int64(done), int64(total), pct, int64(workers))
-	if rate > 0 {
-		line += fmt.Sprintf(", %.0f tasks/s", rate)
+	name, unit := p.Label, p.Unit
+	if name == "" {
+		name = fmt.Sprintf("sweep %d", p.Sweep)
 	}
-	if active && eta >= 0 {
-		line += fmt.Sprintf(", eta %.1fs", eta/1000)
+	if unit == "" {
+		unit = "tasks"
 	}
-	if !active {
+	line := fmt.Sprintf("%s: %d/%d %s (%.1f%%), %d workers",
+		name, p.Done, p.Total, unit, 100*float64(p.Done)/float64(p.Total), p.Workers)
+	if p.PerSec > 0 {
+		line += fmt.Sprintf(", %.0f %s/s", p.PerSec, unit)
+	}
+	if p.Active && p.ETAMS >= 0 {
+		line += fmt.Sprintf(", eta %.1fs", float64(p.ETAMS)/1000)
+	}
+	if !p.Active {
 		line += " [done]"
 	}
 	return line, nil
-}
-
-// jsonNumber pulls a top-level numeric field out of a flat JSON object
-// without decoding the whole document (the progress payload is flat and
-// machine-generated, so a scan is safe and allocation-free).
-func jsonNumber(payload []byte, key string) (float64, bool) {
-	raw, ok := jsonRaw(payload, key)
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-// jsonBool pulls a top-level boolean field out of a flat JSON object.
-func jsonBool(payload []byte, key string) (bool, bool) {
-	raw, ok := jsonRaw(payload, key)
-	if !ok {
-		return false, false
-	}
-	return raw == "true", true
-}
-
-// jsonRaw finds the raw value text of a top-level key in a flat JSON
-// object: everything between the key's colon and the next ',' or '}'.
-func jsonRaw(payload []byte, key string) (string, bool) {
-	needle := `"` + key + `":`
-	i := strings.Index(string(payload), needle)
-	if i < 0 {
-		return "", false
-	}
-	rest := string(payload[i+len(needle):])
-	end := strings.IndexAny(rest, ",}")
-	if end < 0 {
-		end = len(rest)
-	}
-	return strings.TrimSpace(rest[:end]), true
 }

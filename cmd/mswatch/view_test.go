@@ -127,6 +127,19 @@ func TestFormatProgress(t *testing.T) {
 	}
 }
 
+// TestFormatProgressFleet renders the fleet simulator's payload: epochs
+// done of the run's total, named by the run's label.
+func TestFormatProgressFleet(t *testing.T) {
+	line, err := formatProgress([]byte(`{"active":true,"label":"fleet secure","sweep":0,"unit":"epochs","total":40,"done":10,"workers":4,"elapsed_ms":500,"eta_ms":1500,"tasks_per_sec":20}`))
+	if err != nil {
+		t.Fatalf("formatProgress: %v", err)
+	}
+	want := "fleet secure: 10/40 epochs (25.0%), 4 workers, 20 epochs/s, eta 1.5s"
+	if line != want {
+		t.Errorf("fleet progress line = %q, want %q", line, want)
+	}
+}
+
 func TestViewProgressDedup(t *testing.T) {
 	var sb strings.Builder
 	v := &view{w: &sb, min: journal.LevelInfo}
@@ -139,9 +152,9 @@ func TestViewProgressDedup(t *testing.T) {
 }
 
 // TestViewSlowestTracedSessions pins the live slowest-sessions table:
-// wide session events carrying a trace_id rank by duration (falling
-// back to handshake time for client events), cap at maxSlow, and the
-// line reprints only when the ranking changes.
+// wide session events carrying a trace_id rank by duration_us, client
+// and server events alike, cap at maxSlow, and the line reprints only
+// when the ranking changes.
 func TestViewSlowestTracedSessions(t *testing.T) {
 	var sb strings.Builder
 	v := &view{w: &sb, min: journal.LevelCrit} // suppress the event lines themselves
@@ -159,11 +172,12 @@ func TestViewSlowestTracedSessions(t *testing.T) {
 		t.Fatalf("first traced session missing:\n%s", sb.String())
 	}
 
-	// A slower one takes the head; a client event ranks by handshake_us.
+	// A slower one takes the head; a client event ranks by its own
+	// duration_us, not its handshake_us.
 	v.handle(sseEvent{name: "journal",
 		data: `{"t_sim":3,"level":"info","layer":"gateway","event":"session","kv":{"trace_id":"00000000000000bb","duration_us":2000}}`})
 	v.handle(sseEvent{name: "journal",
-		data: `{"t_sim":4,"level":"info","layer":"load","event":"session","kv":{"trace_id":"00000000000000cc","handshake_us":1000}}`})
+		data: `{"t_sim":4,"level":"info","layer":"load","event":"session","kv":{"trace_id":"00000000000000cc","handshake_us":9000,"duration_us":1000}}`})
 	out := sb.String()
 	if !strings.Contains(out, "00000000000000bb 2000µs, 00000000000000cc 1000µs, 00000000000000aa 500µs") {
 		t.Fatalf("ranking wrong:\n%s", out)

@@ -249,8 +249,8 @@ func NewSim(sc *Scenario, cfg Config) (*Sim, error) {
 		}
 	}
 
-	obs.SetProgressSource(progressJSON)
-	progStart(cfg.Label, sc.Devices, s.nEpochs, sc.HorizonTicks)
+	obs.SetProgressSource(progress)
+	progStart(cfg.Label, cfg.Workers, s.nEpochs)
 
 	journal.Emit(0, journal.LevelInfo, "fleet", "run_start",
 		journal.S("scenario", sc.Name),
@@ -704,7 +704,7 @@ func (s *Sim) mergeEpoch(tStart, tEnd int64) (pending bool) {
 		obs.SeriesTick(tEnd)
 	}
 
-	progEpoch(s.epoch+1, tEnd, alive, dead, s.compromised, s.totCnt[cEvents])
+	progEpoch(s.epoch + 1)
 	return pending
 }
 

@@ -1,9 +1,10 @@
 package fleet
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Live progress for the obs /progress endpoint. One tracker per
@@ -13,65 +14,41 @@ import (
 var prog struct {
 	active  atomic.Bool
 	label   atomic.Value // string
-	devices atomic.Int64
+	workers atomic.Int64
 	epochs  atomic.Int64
-	horizon atomic.Int64
-
-	epoch       atomic.Int64
-	tSim        atomic.Int64
-	alive       atomic.Int64
-	dead        atomic.Int64
-	compromised atomic.Int64
-	events      atomic.Int64
-	startNS     atomic.Int64
+	epoch   atomic.Int64
+	startNS atomic.Int64
 }
 
-func progStart(label string, devices int, epochs, horizon int64) {
+func progStart(label string, workers int, epochs int64) {
 	prog.label.Store(label)
-	prog.devices.Store(int64(devices))
+	prog.workers.Store(int64(workers))
 	prog.epochs.Store(epochs)
-	prog.horizon.Store(horizon)
 	prog.epoch.Store(0)
-	prog.tSim.Store(0)
-	prog.alive.Store(int64(devices))
-	prog.dead.Store(0)
-	prog.compromised.Store(0)
-	prog.events.Store(0)
 	prog.startNS.Store(time.Now().UnixNano())
 	prog.active.Store(true)
 }
 
-func progEpoch(epoch, tSim, alive, dead, compromised, events int64) {
-	prog.epoch.Store(epoch)
-	prog.tSim.Store(tSim)
-	prog.alive.Store(alive)
-	prog.dead.Store(dead)
-	prog.compromised.Store(compromised)
-	prog.events.Store(events)
-}
+func progEpoch(epoch int64) { prog.epoch.Store(epoch) }
 
 func progDone() { prog.active.Store(false) }
 
-// progressJSON renders the tracker for obs.SetProgressSource. Wall time
-// appears only here — never in figures or the journal — so live
-// introspection cannot perturb determinism.
-func progressJSON() []byte {
+// progress reports the run's epochs done of its total for
+// obs.SetProgressSource. Wall time appears only here — never in figures
+// or the journal — so live introspection cannot perturb determinism.
+func progress() obs.Progress {
 	label, _ := prog.label.Load().(string)
-	elapsedMS := int64(0)
-	evPerSec := 0.0
-	if start := prog.startNS.Load(); start > 0 {
-		elapsed := time.Since(time.Unix(0, start))
-		elapsedMS = elapsed.Milliseconds()
-		if sec := elapsed.Seconds(); sec > 0 {
-			evPerSec = float64(prog.events.Load()) / sec
-		}
+	p := obs.Progress{
+		Active:  prog.active.Load(),
+		Label:   "fleet " + label,
+		Unit:    "epochs",
+		Total:   prog.epochs.Load(),
+		Done:    prog.epoch.Load(),
+		Workers: int(prog.workers.Load()),
 	}
-	return []byte(fmt.Sprintf(
-		`{"fleet":{"active":%t,"label":%q,"devices":%d,"epoch":%d,"epochs":%d,`+
-			`"t_sim":%d,"horizon":%d,"alive":%d,"dead":%d,"compromised":%d,`+
-			`"events":%d,"events_per_sec":%.0f,"elapsed_ms":%d}}`,
-		prog.active.Load(), label, prog.devices.Load(), prog.epoch.Load(),
-		prog.epochs.Load(), prog.tSim.Load(), prog.horizon.Load(),
-		prog.alive.Load(), prog.dead.Load(), prog.compromised.Load(),
-		prog.events.Load(), evPerSec, elapsedMS))
+	var start time.Time
+	if ns := prog.startNS.Load(); ns > 0 {
+		start = time.Unix(0, ns)
+	}
+	return p.Timed(start)
 }

@@ -204,17 +204,22 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// ProgressJSON renders a flat /progress payload (the shape mswatch
-// renders): total = accepted, done = finished sessions.
-func (s *Server) ProgressJSON() []byte {
-	done := s.sessions.Load()
-	rate := float64(done) / time.Since(s.started).Seconds()
+// Progress reports sessions done of those accepted for /progress. The
+// total grows as clients arrive, so there is no ETA.
+func (s *Server) Progress() obs.Progress {
 	s.mu.Lock()
 	active := !s.draining
 	s.mu.Unlock()
-	return []byte(fmt.Sprintf(
-		`{"sweep":0,"total":%d,"done":%d,"workers":%d,"tasks_per_sec":%.1f,"eta_ms":-1,"active":%v}`,
-		s.accepted.Load(), done, s.cfg.Workers, rate, active))
+	p := obs.Progress{
+		Active:  active,
+		Label:   "gateway",
+		Unit:    "sessions",
+		Total:   s.accepted.Load(),
+		Done:    s.sessions.Load(),
+		Workers: s.cfg.Workers,
+	}.Timed(s.started)
+	p.ETAMS = -1
+	return p
 }
 
 // acceptLoop pulls connections while capacity remains, backing off on
@@ -313,9 +318,6 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for ac := range s.connCh {
 		s.serveConn(ac.conn, ac.acceptUS)
-		s.untrack(ac.conn)
-		s.sessions.Add(1)
-		mSessions.Inc()
 		<-s.sem
 	}
 }
@@ -338,100 +340,121 @@ func (s *Server) drainingNow() bool {
 	return s.draining
 }
 
-// sessionRec accumulates the dimensions of one session for its wide
-// event: a single journal record per session carrying everything
-// msreport needs to slice sessions (suite, resume hit/miss, handshake
-// latency, traffic volume, how it ended) without joining aggregate
-// counters.
+// sessionRec is the one record of a session. endSession derives
+// everything reported about the session from it: the wide journal event
+// (a single record carrying every dimension msreport slices sessions
+// by, and how the session ended), the root span's N, and the
+// per-session counters.
 type sessionRec struct {
-	peer        string
+	id          int64
+	start       time.Time
+	handshook   bool
 	suite       string
 	resumed     bool
 	handshakeUS int64
 	records     int64
 	bytes       int64
 	closeReason string
+	err         error
+	panic       any
 	trace       uint64
 }
 
-// emit writes the wide event. t_sim is the connection id, matching
-// every other journal event of the session.
-func (rec *sessionRec) emit(id int64, start time.Time) {
-	fields := []journal.Field{
-		journal.S("peer", rec.peer),
-		journal.S("suite", rec.suite),
-		journal.B("resumed", rec.resumed),
-		journal.I("handshake_us", rec.handshakeUS),
-		journal.I("records", rec.records),
-		journal.I("bytes", rec.bytes),
-		journal.I("duration_us", time.Since(start).Microseconds()),
-		journal.S("close_reason", rec.closeReason),
+// endSession closes out one session from its record. The wide event's
+// t_sim is the connection id; its level is info for a clean session,
+// warn when the session ended on an error and crit for a recovered
+// panic. Sessions done moves last, so a Stats reader that sees it
+// already sees the session's other counters.
+func (s *Server) endSession(conn net.Conn, rec *sessionRec, root *obs.DSpan) {
+	lv := journal.LevelInfo
+	if rec.panic != nil {
+		lv = journal.LevelCrit
+	} else if rec.err != nil {
+		lv = journal.LevelWarn
 	}
-	if rec.trace != 0 {
-		// Same 16-hex-digit spelling as the trace JSONL and the report
-		// waterfall, so wide events and spans cross-link by exact match.
-		fields = append(fields, journal.S("trace_id", obs.TraceHex(rec.trace)))
+	if journal.On(lv) {
+		fields := []journal.Field{
+			journal.S("peer", conn.RemoteAddr().String()),
+			journal.S("suite", rec.suite),
+			journal.B("resumed", rec.resumed),
+			journal.I("handshake_us", rec.handshakeUS),
+			journal.I("records", rec.records),
+			journal.I("bytes", rec.bytes),
+			journal.I("duration_us", time.Since(rec.start).Microseconds()),
+			journal.S("close_reason", rec.closeReason),
+		}
+		if rec.err != nil {
+			fields = append(fields, journal.S("err", rec.err.Error()))
+		}
+		if rec.panic != nil {
+			fields = append(fields, journal.S("panic", fmt.Sprint(rec.panic)))
+		}
+		if rec.trace != 0 {
+			// Same 16-hex-digit spelling as the trace JSONL and the report
+			// waterfall, so wide events and spans cross-link by exact match.
+			fields = append(fields, journal.S("trace_id", obs.TraceHex(rec.trace)))
+		}
+		journal.Emit(rec.id, lv, "gateway", "session", fields...)
 	}
-	journal.Emit(id, journal.LevelInfo, "gateway", "session", fields...)
+	root.SetN(rec.bytes)
+	root.End()
+
+	if rec.handshook {
+		s.handshakes.Add(1)
+		mHandshakes.Inc()
+	} else if rec.closeReason == "handshake_failed" {
+		s.hsFailures.Add(1)
+		mHSFailures.Inc()
+	}
+	if rec.panic != nil {
+		s.panics.Add(1)
+		mPanics.Inc()
+	}
+	s.sessions.Add(1)
+	mSessions.Inc()
 }
 
 // serveConn runs one session: handshake under deadline, then an echo
 // loop until EOF, error, idle timeout or drain. A panicking session
 // must not take the worker (or the process) down with it.
 func (s *Server) serveConn(conn net.Conn, acceptUS int64) {
-	id := s.connSeq.Add(1)
-	start := time.Now()
+	rec := sessionRec{id: s.connSeq.Add(1), start: time.Now(), closeReason: "unknown"}
 	var serveUS int64
 	if obs.DTraceEnabled() {
 		serveUS = obs.DTraceNowUS()
 	}
-	rec := sessionRec{peer: conn.RemoteAddr().String(), closeReason: "unknown"}
 	var root *obs.DSpan
 	defer func() {
 		if r := recover(); r != nil {
-			s.panics.Add(1)
-			mPanics.Inc()
 			rec.closeReason = "panic"
-			journal.Emit(id, journal.LevelCrit, "gateway", "session_panic",
-				journal.S("panic", fmt.Sprint(r)))
+			rec.panic = r
 		}
 		conn.Close()
-		rec.emit(id, start)
-		root.SetN(rec.bytes)
-		root.End()
+		s.untrack(conn)
+		s.endSession(conn, &rec, root)
 	}()
 
 	wcfg := *s.cfg.WTLS
-	wcfg.Rand = prng.NewDRBG(append(append([]byte{}, s.cfg.RandSeed...), fmt.Sprintf("/conn/%d", id)...))
+	wcfg.Rand = prng.NewDRBG(append(append([]byte{}, s.cfg.RandSeed...), fmt.Sprintf("/conn/%d", rec.id)...))
 	tc := wtls.Server(conn, &wcfg)
 
 	_ = tc.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
 	if err := tc.Handshake(); err != nil {
-		s.hsFailures.Add(1)
-		mHSFailures.Inc()
 		rec.closeReason = "handshake_failed"
-		journal.Emit(id, journal.LevelWarn, "gateway", "conn_handshake_failed",
-			journal.S("err", err.Error()))
+		rec.err = err
 		return
 	}
-	hsNS := time.Since(start).Nanoseconds()
-	s.handshakes.Add(1)
-	mHandshakes.Inc()
+	hsNS := time.Since(rec.start).Nanoseconds()
 	hHandshake.Observe(hsNS)
 	state := tc.State()
+	rec.handshook = true
 	rec.handshakeUS = hsNS / 1000
 	rec.resumed = state.Resumed
 	if state.Suite != nil {
 		rec.suite = state.Suite.Name
 	}
-	if journal.On(journal.LevelDebug) {
-		journal.Emit(id, journal.LevelDebug, "gateway", "conn_established",
-			journal.S("peer", rec.peer),
-			journal.B("resumed", rec.resumed),
-			journal.I("handshake_us", rec.handshakeUS))
-	}
 	if testHookSession != nil {
-		testHookSession(id)
+		testHookSession(rec.id)
 	}
 
 	buf := s.bufPool.Get().([]byte)
@@ -443,9 +466,8 @@ func (s *Server) serveConn(conn net.Conn, acceptUS int64) {
 		n, err := tc.Read(buf)
 		if err != nil {
 			rec.closeReason = closeReason(err, s.drainingNow())
-			if err != io.EOF && journal.On(journal.LevelDebug) {
-				journal.Emit(id, journal.LevelDebug, "gateway", "conn_read_end",
-					journal.S("err", err.Error()))
+			if err != io.EOF {
+				rec.err = err
 			}
 			return
 		}
@@ -460,6 +482,7 @@ func (s *Server) serveConn(conn net.Conn, acceptUS int64) {
 		_ = tc.SetWriteDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		if _, err := tc.Write(data); err != nil {
 			rec.closeReason = "write_error"
+			rec.err = err
 			return
 		}
 		rec.records++

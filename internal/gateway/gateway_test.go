@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/crypto/prng"
+	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	"repro/internal/wtls"
 )
@@ -310,8 +311,14 @@ func TestGatewayConnCapBackpressure(t *testing.T) {
 }
 
 // TestGatewayPanicRecovery crashes one session inside the handler and
-// verifies the worker survives to serve the next connection.
+// verifies the worker survives to serve the next connection, and that
+// the crash is reported once: one crit wide event carrying the panic,
+// and the panic and sessions-done counters each moving once for it.
 func TestGatewayPanicRecovery(t *testing.T) {
+	armJournal(t, journal.LevelInfo)
+	obs.Default.SetEnabled(true)
+	t.Cleanup(func() { obs.Default.SetEnabled(false) })
+	panics0 := mPanics.Value()
 	var fired atomic.Bool
 	testHookSession = func(id int64) {
 		if fired.CompareAndSwap(false, true) {
@@ -334,6 +341,13 @@ func TestGatewayPanicRecovery(t *testing.T) {
 		t.Fatal("expected the panicked session's conn to drop")
 	}
 	tc1.Close()
+	waitSessions(t, env.srv, 1)
+	if st := env.srv.Stats(); st.SessionsDone != 1 || st.PanicsRecovered != 1 {
+		t.Fatalf("after the crash: stats %+v, want 1 session done, 1 panic", st)
+	}
+	if got := mPanics.Value() - panics0; got != 1 {
+		t.Fatalf("gateway.panics_recovered moved %d, want 1", got)
+	}
 
 	// Same (sole) worker must still serve a healthy session.
 	tc2, err := env.dial(t, "after")
@@ -346,7 +360,114 @@ func TestGatewayPanicRecovery(t *testing.T) {
 	if err := env.srv.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if st := env.srv.Stats(); st.PanicsRecovered != 1 {
-		t.Fatalf("panics recovered = %d, want 1 (stats %+v)", st.PanicsRecovered, st)
+	if st := env.srv.Stats(); st.PanicsRecovered != 1 || st.SessionsDone != 2 {
+		t.Fatalf("panics recovered = %d, sessions done = %d, want 1 and 2 (stats %+v)",
+			st.PanicsRecovered, st.SessionsDone, st)
+	}
+	if got := mPanics.Value() - panics0; got != 1 {
+		t.Fatalf("gateway.panics_recovered moved %d, want 1", got)
+	}
+	var crit []journal.Event
+	for _, e := range sessionEvents(t) {
+		if e.Level == journal.LevelCrit {
+			crit = append(crit, e)
+		}
+	}
+	if len(crit) != 1 || crit[0].Name != "session" || crit[0].TSim != 1 ||
+		crit[0].Get("panic") != "injected session crash" || crit[0].Get("close_reason") != "panic" {
+		t.Fatalf("want one crit wide event for session 1 carrying the panic, got %+v", crit)
+	}
+}
+
+// TestGatewayOneEventPerSession runs one clean session and one whose
+// client trusts a different CA with the journal at debug: each session
+// yields exactly one journal event, keyed by its connection id, and no
+// wtls-layer event. The failed session's event is a warn carrying the
+// alert the client sent.
+func TestGatewayOneEventPerSession(t *testing.T) {
+	armJournal(t, journal.LevelDebug)
+	env := startGateway(t, Config{Workers: 2, MaxConns: 4, DrainTimeout: 3 * time.Second})
+	tc, err := env.dial(t, "clean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	echoOnce(t, tc, "clean session")
+	tc.Close()
+	waitSessions(t, env.srv, 1)
+
+	otherCA, _, _, err := DevPKI("another-ca", "gw.local", testBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.client.RootCA = &otherCA.Key.PublicKey
+	if _, err := env.dial(t, "distrust"); err == nil {
+		t.Fatal("client accepted a certificate from a CA it does not trust")
+	}
+	waitSessions(t, env.srv, 2)
+	if err := env.srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	byID := map[int64][]journal.Event{}
+	for _, e := range sessionEvents(t) {
+		byID[e.TSim] = append(byID[e.TSim], e)
+	}
+	if len(byID) != 2 || len(byID[1]) != 1 || len(byID[2]) != 1 {
+		t.Fatalf("want one event for each of sessions 1 and 2, got %+v", byID)
+	}
+	clean, failed := byID[1][0], byID[2][0]
+	if clean.Name != "session" || clean.Level != journal.LevelInfo || clean.Get("close_reason") != "eof" || clean.Get("err") != "" {
+		t.Errorf("clean session event: %+v", clean)
+	}
+	if failed.Name != "session" || failed.Level != journal.LevelWarn || failed.Get("close_reason") != "handshake_failed" {
+		t.Errorf("failed session event: %+v", failed)
+	}
+	if e := failed.Get("err"); !strings.Contains(e, "bad_certificate") {
+		t.Errorf("failed session err = %q, want it to name the bad_certificate alert", e)
+	}
+	if st := env.srv.Stats(); st.Handshakes != 1 || st.HandshakeFailures != 1 || st.SessionsDone != 2 {
+		t.Errorf("stats %+v, want 1 handshake, 1 failure, 2 sessions", st)
+	}
+}
+
+// armJournal records journal events at min and up for one test.
+func armJournal(t *testing.T, min journal.Level) {
+	t.Helper()
+	journal.Default.Reset()
+	journal.Default.SetMinLevel(min)
+	journal.Default.SetEnabled(true)
+	t.Cleanup(func() {
+		journal.Default.SetEnabled(false)
+		journal.Default.SetMinLevel(journal.LevelInfo)
+		journal.Default.Reset()
+	})
+}
+
+// sessionEvents returns the journal's per-session events: everything
+// but the gateway's process-level ones, and it fails the test on any
+// wtls-layer event.
+func sessionEvents(t *testing.T) []journal.Event {
+	t.Helper()
+	var out []journal.Event
+	for _, e := range journal.Default.Events() {
+		switch {
+		case e.Layer == "wtls":
+			t.Errorf("wtls-layer journal event %s/%s", e.Layer, e.Name)
+		case e.Layer == "gateway" && (e.Name == "listening" || strings.HasPrefix(e.Name, "drain_")):
+		default:
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// waitSessions waits until the server has finished n sessions.
+func waitSessions(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().SessionsDone < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions done = %d, want %d", srv.Stats().SessionsDone, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -185,21 +185,17 @@ func New(cfg Config) (*Runner, error) {
 	return &Runner{cfg: d}, nil
 }
 
-// ProgressJSON renders the flat /progress payload mswatch displays.
-func (r *Runner) ProgressJSON() []byte {
-	done := r.done.Load() + r.failed.Load()
-	elapsed := time.Since(r.started).Seconds()
-	rate := 0.0
-	if elapsed > 0 {
-		rate = float64(done) / elapsed
-	}
-	etaMS := int64(-1)
-	if rate > 0 {
-		etaMS = int64(float64(r.cfg.Conns-int(done)) / rate * 1000)
-	}
-	return []byte(fmt.Sprintf(
-		`{"sweep":0,"total":%d,"done":%d,"workers":%d,"tasks_per_sec":%.1f,"eta_ms":%d,"active":%v}`,
-		r.cfg.Conns, done, r.cfg.Concurrency, rate, etaMS, r.active.Load()))
+// Progress reports sessions finished (ok or failed) of the run's total
+// for /progress.
+func (r *Runner) Progress() obs.Progress {
+	return obs.Progress{
+		Active:  r.active.Load(),
+		Label:   "load",
+		Unit:    "sessions",
+		Total:   int64(r.cfg.Conns),
+		Done:    r.done.Load() + r.failed.Load(),
+		Workers: r.cfg.Concurrency,
+	}.Timed(r.started)
 }
 
 // Run drives the configured number of sessions to completion and
@@ -261,6 +257,7 @@ func (r *Runner) LastErr() error {
 // attempt that got that far, traffic and chaos faults summed over every
 // attempt (retried attempts were real wire activity).
 type sessionStats struct {
+	start       time.Time
 	attempts    int64
 	handshakeUS int64
 	resumed     bool
@@ -272,9 +269,11 @@ type sessionStats struct {
 
 // runSession completes one session, retrying connect/handshake with
 // backoff. Echo failures after establishment also count as attempt
-// failures: under chaos the stream can die at any record. Every session
-// — success or failure — emits one wide "session" journal event
-// carrying all its dimensions.
+// failures: under chaos the stream can die at any record. The session
+// then ends in one place, from its stats: the wide journal event (t_sim
+// is the session index; info when the session succeeded, warn with its
+// err when it exhausted its attempts), the root span's N, and the run's
+// ok/failed counters.
 func (r *Runner) runSession(id int) {
 	pol := r.cfg.Backoff
 	pol.Seed = r.cfg.Seed ^ int64(id)*0x9e3779b9
@@ -299,7 +298,7 @@ func (r *Runner) runSession(id int) {
 			}
 		}
 	}
-	var st sessionStats
+	st := sessionStats{start: time.Now()}
 	err := backoff.Retry(r.cfg.Attempts, pol, sleep, func(attempt int) error {
 		if attempt > 0 {
 			r.retries.Add(1)
@@ -308,44 +307,50 @@ func (r *Runner) runSession(id int) {
 		st.attempts++
 		return r.attempt(id, attempt, &st, root)
 	})
+	lv := journal.LevelInfo
+	if err != nil {
+		lv = journal.LevelWarn
+	}
+	if journal.On(lv) {
+		fields := []journal.Field{
+			journal.B("ok", err == nil),
+			journal.I("attempts", st.attempts),
+			journal.I("retries", st.attempts-1),
+			journal.S("suite", st.suite),
+			journal.B("resumed", st.resumed),
+			journal.I("handshake_us", st.handshakeUS),
+			journal.I("records", st.records),
+			journal.I("bytes", st.bytes),
+			journal.I("duration_us", time.Since(st.start).Microseconds()),
+			journal.I("chaos_chunks", int64(st.chaos.Chunks)),
+			journal.I("chaos_dropped", int64(st.chaos.Dropped)),
+			journal.I("chaos_corrupted", int64(st.chaos.Corrupted)),
+			journal.I("chaos_stalled", int64(st.chaos.Stalled)),
+		}
+		if err != nil {
+			fields = append(fields, journal.S("err", err.Error()))
+		}
+		if root != nil {
+			// Cross-link: the wide event carries the same 16-hex-digit ID the
+			// span waterfall and the trace JSONL spell, so artifacts join by
+			// exact string match.
+			fields = append(fields, journal.S("trace_id", obs.TraceHex(root.TraceID())))
+		}
+		journal.Emit(int64(id), lv, "load", "session", fields...)
+	}
+	root.SetN(st.bytes)
+	root.End()
+
 	if err != nil {
 		r.failed.Add(1)
 		mClientsFailed.Inc()
 		r.mu.Lock()
 		r.lastErr = fmt.Errorf("session %d: %w", id, err)
 		r.mu.Unlock()
-		journal.Emit(int64(id), journal.LevelWarn, "load", "session_failed",
-			journal.S("err", err.Error()))
 	} else {
 		r.done.Add(1)
 		mClientsOK.Inc()
 	}
-	fields := []journal.Field{
-		journal.B("ok", err == nil),
-		journal.I("attempts", st.attempts),
-		journal.I("retries", st.attempts-1),
-		journal.S("suite", st.suite),
-		journal.B("resumed", st.resumed),
-		journal.I("handshake_us", st.handshakeUS),
-		journal.I("records", st.records),
-		journal.I("bytes", st.bytes),
-		journal.I("chaos_chunks", int64(st.chaos.Chunks)),
-		journal.I("chaos_dropped", int64(st.chaos.Dropped)),
-		journal.I("chaos_corrupted", int64(st.chaos.Corrupted)),
-		journal.I("chaos_stalled", int64(st.chaos.Stalled)),
-	}
-	if err != nil {
-		fields = append(fields, journal.S("err", err.Error()))
-	}
-	if root != nil {
-		// Cross-link: the wide event carries the same 16-hex-digit ID the
-		// span waterfall and the trace JSONL spell, so artifacts join by
-		// exact string match.
-		fields = append(fields, journal.S("trace_id", obs.TraceHex(root.TraceID())))
-	}
-	journal.Emit(int64(id), journal.LevelInfo, "load", "session", fields...)
-	root.SetN(st.bytes)
-	root.End()
 }
 
 func (r *Runner) attempt(id, attempt int, st *sessionStats, root *obs.DSpan) error {

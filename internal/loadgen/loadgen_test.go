@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/chaos"
 	"repro/internal/crypto/rsa"
 	"repro/internal/gateway"
@@ -151,6 +153,9 @@ func TestSessionWideEvents(t *testing.T) {
 		if v, ok := e.GetFloat("attempts"); !ok || v < 1 {
 			t.Errorf("session %d: attempts = %v,%v", e.TSim, v, ok)
 		}
+		if v, ok := e.GetFloat("duration_us"); !ok || v <= 0 {
+			t.Errorf("session %d: duration_us = %v,%v", e.TSim, v, ok)
+		}
 		c, _ := e.GetFloat("chaos_chunks")
 		chunks += int64(c)
 	}
@@ -159,6 +164,46 @@ func TestSessionWideEvents(t *testing.T) {
 	}
 	if chunks == 0 {
 		t.Fatal("chaos conn saw zero chunks across all sessions")
+	}
+
+	// A session that exhausts its attempts: the client trusts a CA that
+	// did not sign the gateway's certificate, so every handshake fails.
+	// Its one record is the warn wide event; the gateway's own events
+	// aside, nothing else is journaled for it.
+	journal.Default.Reset()
+	otherCA, _, _, err := gateway.DevPKI("another-ca", "gw.local", testBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distrust := *client
+	distrust.RootCA = &otherCA.Key.PublicKey
+	r, err = New(Config{
+		Addr: srv.Addr().String(), WTLS: &distrust,
+		Conns: 1, Concurrency: 1, Records: 1, Payload: 64, Seed: 7,
+		Attempts: 2, Backoff: backoff.Policy{Base: time.Millisecond, Max: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := r.Run(); rep.Failed != 1 {
+		t.Fatalf("distrusting client: %s, want 1 failed session", rep)
+	}
+	var events []journal.Event
+	for _, e := range journal.Default.Events() {
+		if e.Layer != "gateway" {
+			events = append(events, e)
+		}
+	}
+	if len(events) != 1 {
+		t.Fatalf("exhausted session journaled %d events, want 1: %+v", len(events), events)
+	}
+	e := events[0]
+	if e.Layer != "load" || e.Name != "session" || e.Level != journal.LevelWarn ||
+		e.Get("ok") != "false" || e.Get("attempts") != "2" || !strings.Contains(e.Get("err"), "bad_certificate") {
+		t.Fatalf("exhausted session event: %+v", e)
+	}
+	if v, ok := e.GetFloat("duration_us"); !ok || v <= 0 {
+		t.Fatalf("exhausted session duration_us = %v,%v, want > 0", v, ok)
 	}
 }
 
@@ -200,7 +245,11 @@ func TestProgressJSONShape(t *testing.T) {
 		ETA     int64   `json:"eta_ms"`
 		Active  bool    `json:"active"`
 	}
-	if err := json.Unmarshal(r.ProgressJSON(), &v); err != nil {
+	blob, err := json.Marshal(r.Progress())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, &v); err != nil {
 		t.Fatalf("progress payload not valid JSON: %v", err)
 	}
 	if v.Total != 5 || v.Done != 0 || v.Active {

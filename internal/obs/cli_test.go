@@ -287,14 +287,14 @@ func TestProgressResolvedPerRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	SetProgressSource(func() []byte { return []byte(`{"source":"cli_test"}`) })
+	SetProgressSource(func() Progress { return Progress{Label: "cli_test"} })
 	resp, err := http.Get("http://" + addr + "/progress")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(body) != `{"source":"cli_test"}` {
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"label":"cli_test"`) {
 		t.Fatalf("/progress = %d %q, want the source registered after Activate", resp.StatusCode, body)
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"expvar"
 	"fmt"
 	"net"
@@ -74,7 +75,7 @@ func ServeConfig(addr string, cfg ServerConfig) (string, func() error, error) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(progress())
+		_ = json.NewEncoder(w).Encode(progress())
 	})
 	mux.HandleFunc("/alerts", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -116,7 +116,7 @@ func TestServeEventsStream(t *testing.T) {
 		t.Fatalf("journal frame content wrong: %s", data)
 	}
 
-	SetProgressSource(func() []byte { return []byte(`{"active":true,"done":3,"total":9}`) })
+	SetProgressSource(func() Progress { return Progress{Active: true, Done: 3, Total: 9} })
 	presp, err := http.Get("http://" + addr + "/progress")
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 package par
 
 import (
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,12 +14,12 @@ import (
 // (rare outside tests) follow last-started-wins, which is the right
 // behavior for a monitor: it shows what the process is doing now.
 type tracker struct {
-	sweep   int64
-	total   int64
-	startNS int64
-	done    atomic.Int64
-	perW    []atomic.Int64
-	active  atomic.Bool
+	sweep  int64
+	total  int64
+	start  time.Time
+	done   atomic.Int64
+	perW   []atomic.Int64
+	active atomic.Bool
 }
 
 var (
@@ -33,10 +31,10 @@ var (
 // beginSweep publishes a tracker for a starting sweep.
 func beginSweep(workers, n int) *tracker {
 	t := &tracker{
-		sweep:   sweepSeq.Add(1),
-		total:   int64(n),
-		startNS: time.Now().UnixNano(),
-		perW:    make([]atomic.Int64, workers),
+		sweep: sweepSeq.Add(1),
+		total: int64(n),
+		start: time.Now(),
+		perW:  make([]atomic.Int64, workers),
 	}
 	t.active.Store(true)
 	progMu.Lock()
@@ -50,58 +48,29 @@ func beginSweep(workers, n int) *tracker {
 func (t *tracker) endSweep() { t.active.Store(false) }
 
 func init() {
-	obs.SetProgressSource(ProgressJSON)
+	obs.SetProgressSource(Progress)
 }
 
-// ProgressJSON renders the current sweep's progress for the /progress
-// endpoint:
-//
-//	{"active":true,"sweep":2,"total":54,"done":31,"workers":8,
-//	 "per_worker":[4,4,...],"elapsed_ms":12,"eta_ms":9,"tasks_per_sec":2583.3}
-//
-// eta_ms extrapolates from completed tasks (-1 before the first task
-// finishes); with no sweep started yet it returns {"active":false}.
-func ProgressJSON() []byte {
+// Progress reports the current sweep for the /progress endpoint: tasks
+// done of the sweep's total, with per-worker completion counts. With no
+// sweep started yet it is the zero, inactive Progress.
+func Progress() obs.Progress {
 	progMu.Lock()
 	t := progCur
 	progMu.Unlock()
 	if t == nil {
-		return []byte(`{"active":false,"total":0,"done":0}` + "\n")
+		return obs.Progress{}
 	}
-	done := t.done.Load()
-	elapsedMS := (time.Now().UnixNano() - t.startNS) / 1e6
-	etaMS := int64(-1)
-	if done > 0 {
-		etaMS = elapsedMS * (t.total - done) / done
+	p := obs.Progress{
+		Active:    t.active.Load(),
+		Sweep:     t.sweep,
+		Total:     t.total,
+		Done:      t.done.Load(),
+		Workers:   len(t.perW),
+		PerWorker: make([]int64, len(t.perW)),
 	}
-	tps := 0.0
-	if elapsedMS > 0 {
-		tps = float64(done) / (float64(elapsedMS) / 1000)
-	}
-	var b strings.Builder
-	b.WriteString(`{"active":`)
-	b.WriteString(strconv.FormatBool(t.active.Load()))
-	b.WriteString(`,"sweep":`)
-	b.WriteString(strconv.FormatInt(t.sweep, 10))
-	b.WriteString(`,"total":`)
-	b.WriteString(strconv.FormatInt(t.total, 10))
-	b.WriteString(`,"done":`)
-	b.WriteString(strconv.FormatInt(done, 10))
-	b.WriteString(`,"workers":`)
-	b.WriteString(strconv.Itoa(len(t.perW)))
-	b.WriteString(`,"per_worker":[`)
 	for i := range t.perW {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatInt(t.perW[i].Load(), 10))
+		p.PerWorker[i] = t.perW[i].Load()
 	}
-	b.WriteString(`],"elapsed_ms":`)
-	b.WriteString(strconv.FormatInt(elapsedMS, 10))
-	b.WriteString(`,"eta_ms":`)
-	b.WriteString(strconv.FormatInt(etaMS, 10))
-	b.WriteString(`,"tasks_per_sec":`)
-	b.WriteString(strconv.FormatFloat(tps, 'f', 1, 64))
-	b.WriteString("}\n")
-	return []byte(b.String())
+	return p.Timed(t.start)
 }

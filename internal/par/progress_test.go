@@ -22,7 +22,10 @@ func TestProgressJSON(t *testing.T) {
 		ElapsedMS int64   `json:"elapsed_ms"`
 		ETAMS     int64   `json:"eta_ms"`
 	}
-	blob := ProgressJSON()
+	blob, err := json.Marshal(Progress())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := json.Unmarshal(blob, &p); err != nil {
 		t.Fatalf("ProgressJSON not valid JSON: %v\n%s", err, blob)
 	}
@@ -54,7 +57,7 @@ func TestProgressSourceRegistered(t *testing.T) {
 	if fn == nil {
 		t.Fatal("par did not register a progress source with obs")
 	}
-	if blob := fn(); len(blob) == 0 || blob[0] != '{' {
-		t.Fatalf("unexpected progress payload %q", blob)
+	if blob, err := json.Marshal(fn()); err != nil || blob[0] != '{' {
+		t.Fatalf("unexpected progress payload %q (%v)", blob, err)
 	}
 }

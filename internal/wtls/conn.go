@@ -17,7 +17,6 @@ import (
 	"repro/internal/crypto/rsa"
 	"repro/internal/crypto/sha1"
 	"repro/internal/obs"
-	"repro/internal/obs/journal"
 	"repro/internal/obs/prof"
 	"repro/internal/suite"
 )
@@ -160,10 +159,6 @@ type Conn struct {
 	mmu     sync.Mutex
 	metrics Metrics
 
-	// jphase numbers this connection's journaled handshake phases so the
-	// event stream orders by protocol progress, not wall clock.
-	jphase int64
-
 	// tparent is the distributed-trace span this connection's record
 	// batches and handshake phases attach under (nil = untraced); trMu
 	// guards the buffered phase log replayed once a parent is known
@@ -269,32 +264,6 @@ func (c *Conn) Metrics() Metrics {
 	return c.metrics
 }
 
-// jrole names the endpoint's role in journal events.
-func (c *Conn) jrole() string {
-	if c.isClient {
-		return "client"
-	}
-	return "server"
-}
-
-// jhs journals one handshake phase at debug level; t_sim is the phase
-// ordinal within this connection's handshake.
-func (c *Conn) jhs(phase string) {
-	if journal.On(journal.LevelDebug) {
-		c.jphase++
-		journal.Emit(c.jphase, journal.LevelDebug, "wtls", "handshake_phase",
-			journal.S("role", c.jrole()), journal.S("phase", phase))
-	}
-}
-
-// alertRecv journals and returns a fatal alert received from the peer.
-func (c *Conn) alertRecv(level, desc uint8) error {
-	journal.Emit(c.jphase, journal.LevelWarn, "wtls", "alert_received",
-		journal.S("role", c.jrole()),
-		journal.I("level", int64(level)), journal.I("desc", int64(desc)))
-	return &AlertError{Level: level, Description: desc}
-}
-
 // writeRecordOut seals and writes one record under the write lock.
 // The sealed wire bytes alias the half connection's scratch and must
 // reach the wire inside the same critical section, and concurrent
@@ -314,12 +283,11 @@ func (c *Conn) sendAlert(level, desc uint8) {
 	_ = c.writeRecordOut(recordAlert, []byte{level, desc})
 }
 
+// fail sends a fatal alert and returns err wrapped with the alert's
+// name, so the caller's error says what the peer was told.
 func (c *Conn) fail(desc uint8, err error) error {
-	journal.Emit(c.jphase, journal.LevelWarn, "wtls", "alert_abort",
-		journal.S("role", c.jrole()), journal.I("desc", int64(desc)),
-		journal.S("err", err.Error()))
 	c.sendAlert(alertLevelFatal, desc)
-	return err
+	return fmt.Errorf("wtls: sent %s alert: %w", alertName(desc), err)
 }
 
 // writeHandshake protects, frames and transcripts one handshake message.
@@ -369,7 +337,7 @@ func (c *Conn) readHandshakeMsg() (uint8, []byte, error) {
 			if len(payload) != 2 {
 				return 0, nil, errors.New("wtls: malformed alert")
 			}
-			return 0, nil, c.alertRecv(payload[0], payload[1])
+			return 0, nil, &AlertError{Level: payload[0], Description: payload[1]}
 		default:
 			return 0, nil, fmt.Errorf("wtls: unexpected record type %d during handshake", recType)
 		}
@@ -422,7 +390,7 @@ func (c *Conn) recvChangeCipherSpec(km *keyMaterial) error {
 		return err
 	}
 	if recType == recordAlert && len(payload) == 2 {
-		return c.alertRecv(payload[0], payload[1])
+		return &AlertError{Level: payload[0], Description: payload[1]}
 	}
 	if recType != recordChangeCipherSpec || len(payload) != 1 || payload[0] != 1 {
 		return errors.New("wtls: expected change cipher spec")
@@ -454,11 +422,6 @@ func (c *Conn) Handshake() error {
 		c.hsErr = errors.New("wtls: config with Rand required")
 		return c.hsErr
 	}
-	role := "server"
-	if c.isClient {
-		role = "client"
-	}
-	c.jhs("start")
 	var err error
 	if c.isClient {
 		err = c.clientHandshake()
@@ -475,15 +438,8 @@ func (c *Conn) Handshake() error {
 	}
 	if err != nil {
 		mHandshakeFailures.Inc()
-		journal.Emit(c.jphase, journal.LevelWarn, "wtls", "handshake_failed",
-			journal.S("role", role), journal.S("err", err.Error()))
 		c.hsErr = err
 		return err
-	}
-	if journal.On(journal.LevelInfo) {
-		journal.Emit(c.jphase, journal.LevelInfo, "wtls", "handshake_done",
-			journal.S("role", role), journal.S("suite", c.suite.Name),
-			journal.B("resumed", c.resumed))
 	}
 	kind := c.suite.KeyExchange
 	c.mmu.Lock()
@@ -528,7 +484,6 @@ func (c *Conn) clientHandshake() error {
 	if err := c.writeHandshake(hello.marshal()); err != nil {
 		return err
 	}
-	c.jhs("client_hello_sent")
 
 	body, err := c.expectHandshake(typeServerHello)
 	if err != nil {
@@ -554,10 +509,8 @@ func (c *Conn) clientHandshake() error {
 	}
 	c.suite = st
 	c.sessionID = sh.sessionID
-	c.jhs("server_hello_recv")
 
 	if sh.resumed {
-		c.jhs("resume")
 		c.phaseMark("finished")
 		if cached == nil || cached.suiteID != sh.suite || string(cached.id) != string(sh.sessionID) {
 			return c.fail(AlertHandshakeFailed, errors.New("wtls: bogus resumption"))
@@ -604,7 +557,6 @@ func (c *Conn) clientHandshake() error {
 	if err := cert.Verify(c.cfg.RootCA, c.cfg.ServerName); err != nil {
 		return c.fail(AlertBadCertificate, err)
 	}
-	c.jhs("certificate_verified")
 
 	var premaster []byte
 	var ckx *clientKeyExchange
@@ -664,7 +616,6 @@ func (c *Conn) clientHandshake() error {
 	if err := c.writeHandshake(ckx.marshal()); err != nil {
 		return err
 	}
-	c.jhs("key_exchange_sent")
 	c.phaseMark("finished")
 	c.master = deriveMaster(premaster, clientRandom, sh.random)
 	km := deriveKeys(c.master, clientRandom, sh.random, st.MACKeyLen, st.KeyLen, st.IVLen)
@@ -687,7 +638,6 @@ func (c *Conn) clientHandshake() error {
 	if err := c.checkFinished(fbody, false, serverTranscript); err != nil {
 		return err
 	}
-	c.jhs("finished")
 	if c.cfg.SessionCache != nil && c.cfg.ServerName != "" && len(c.sessionID) > 0 {
 		c.cfg.SessionCache.put("client:"+c.cfg.ServerName, &session{
 			id: c.sessionID, master: c.master, suiteID: st.ID,
@@ -706,7 +656,6 @@ func (c *Conn) serverHandshake() error {
 	if err != nil {
 		return c.fail(AlertHandshakeFailed, err)
 	}
-	c.jhs("client_hello_recv")
 	serverRandom := c.cfg.Rand.Bytes(randomLen)
 
 	// Resumption path.
@@ -751,7 +700,6 @@ func (c *Conn) serverHandshake() error {
 	if err := c.writeHandshake(sh.marshal()); err != nil {
 		return err
 	}
-	c.jhs("server_hello_sent")
 	c.phaseMark("key_exchange")
 	if err := c.writeHandshake((&certificateMsg{cert: c.cfg.Certificate.Marshal()}).marshal()); err != nil {
 		return err
@@ -786,7 +734,6 @@ func (c *Conn) serverHandshake() error {
 	if err != nil {
 		return c.fail(AlertHandshakeFailed, err)
 	}
-	c.jhs("key_exchange_recv")
 
 	var premaster []byte
 	switch st.KexName {
@@ -827,7 +774,6 @@ func (c *Conn) serverHandshake() error {
 	if err := c.writeHandshake(fin.marshal()); err != nil {
 		return err
 	}
-	c.jhs("finished")
 	if c.cfg.SessionCache != nil {
 		c.cfg.SessionCache.put("server:"+string(c.sessionID), &session{
 			id: c.sessionID, master: c.master, suiteID: st.ID,
@@ -837,7 +783,6 @@ func (c *Conn) serverHandshake() error {
 }
 
 func (c *Conn) serverResume(ch *clientHello, s *session, serverRandom []byte) error {
-	c.jhs("resume")
 	c.phaseMark("finished")
 	st, err := suite.ByID(s.suiteID)
 	if err != nil {
@@ -1016,7 +961,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 				c.closed.Store(true)
 				return 0, io.EOF
 			}
-			return 0, c.alertRecv(payload[0], payload[1])
+			return 0, &AlertError{Level: payload[0], Description: payload[1]}
 		default:
 			c.mmu.Lock()
 			c.metrics.RecordsRcv++

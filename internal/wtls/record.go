@@ -82,7 +82,22 @@ type AlertError struct {
 }
 
 func (e *AlertError) Error() string {
-	return fmt.Sprintf("wtls: received alert level %d description %d", e.Level, e.Description)
+	return fmt.Sprintf("wtls: received %s alert (level %d)", alertName(e.Description), e.Level)
+}
+
+// alertNames spells the alert descriptions this stack knows.
+var alertNames = map[uint8]string{
+	AlertCloseNotify: "close_notify", AlertUnexpectedMessage: "unexpected_message",
+	AlertBadRecordMAC: "bad_record_mac", AlertHandshakeFailed: "handshake_failure",
+	AlertBadCertificate: "bad_certificate", AlertDecryptError: "decrypt_error",
+}
+
+// alertName names an alert description for error messages.
+func alertName(desc uint8) string {
+	if n, ok := alertNames[desc]; ok {
+		return n
+	}
+	return fmt.Sprintf("unknown(%d)", desc)
 }
 
 // errBadRecordMAC rejects a record whose MAC or CBC padding is wrong; the

@@ -87,7 +87,11 @@ func (c *Conn) flushHandshakeTrace(parent *obs.DSpan) {
 			end = p.endUS
 		}
 	}
-	hs := parent.ChildAt("wtls", "handshake_"+c.jrole(), start)
+	role := "server"
+	if c.isClient {
+		role = "client"
+	}
+	hs := parent.ChildAt("wtls", "handshake_"+role, start)
 	for _, p := range phases {
 		pe := p.endUS
 		if pe < p.startUS {

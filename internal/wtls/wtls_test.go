@@ -6,6 +6,7 @@ import (
 	stdsha1 "crypto/sha1"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -235,10 +236,20 @@ func TestUntrustedCARejected(t *testing.T) {
 	server := Server(sp, serverConfig(t))
 	srvErr := make(chan error, 1)
 	go func() { srvErr <- server.Handshake() }()
-	if err := client.Handshake(); err == nil {
+	cerr := client.Handshake()
+	if cerr == nil {
 		t.Fatal("client trusted a certificate from the wrong CA")
 	}
-	<-srvErr
+	// The client's error names the alert it sent and still unwraps to
+	// the verification failure; the server's is the alert it received.
+	if !strings.Contains(cerr.Error(), "sent bad_certificate alert") || !errors.Is(cerr, rsa.ErrVerification) {
+		t.Fatalf("client error %q: want the sent alert named, wrapping rsa.ErrVerification", cerr)
+	}
+	var alert *AlertError
+	if serr := <-srvErr; !errors.As(serr, &alert) || alert.Description != AlertBadCertificate ||
+		!strings.Contains(serr.Error(), "bad_certificate") {
+		t.Fatalf("server error %v: want a named bad_certificate alert", serr)
+	}
 }
 
 func TestSessionResumption(t *testing.T) {
