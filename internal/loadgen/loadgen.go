@@ -167,7 +167,9 @@ type Runner struct {
 	failed  atomic.Int64
 	retries atomic.Int64
 	records atomic.Int64
-	started time.Time
+	// started is set by Run and read by Progress, which /progress may
+	// call from another goroutine at any time.
+	started atomic.Pointer[time.Time]
 	active  atomic.Bool
 
 	mu      sync.Mutex
@@ -188,6 +190,10 @@ func New(cfg Config) (*Runner, error) {
 // Progress reports sessions finished (ok or failed) of the run's total
 // for /progress.
 func (r *Runner) Progress() obs.Progress {
+	var start time.Time
+	if p := r.started.Load(); p != nil {
+		start = *p
+	}
 	return obs.Progress{
 		Active:  r.active.Load(),
 		Label:   "load",
@@ -195,14 +201,15 @@ func (r *Runner) Progress() obs.Progress {
 		Total:   int64(r.cfg.Conns),
 		Done:    r.done.Load() + r.failed.Load(),
 		Workers: r.cfg.Concurrency,
-	}.Timed(r.started)
+	}.Timed(start)
 }
 
 // Run drives the configured number of sessions to completion and
 // returns the aggregate report. It blocks until all sessions have
 // either succeeded or exhausted their retry budget.
 func (r *Runner) Run() Report {
-	r.started = time.Now()
+	start := time.Now()
+	r.started.Store(&start)
 	r.active.Store(true)
 	defer r.active.Store(false)
 
@@ -223,7 +230,7 @@ func (r *Runner) Run() Report {
 	close(ids)
 	wg.Wait()
 
-	elapsed := time.Since(r.started)
+	elapsed := time.Since(start)
 	rep := Report{
 		Conns:   r.cfg.Conns,
 		OK:      r.done.Load(),

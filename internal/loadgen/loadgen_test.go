@@ -256,3 +256,49 @@ func TestProgressJSONShape(t *testing.T) {
 		t.Fatalf("progress payload: %+v", v)
 	}
 }
+
+// TestProgressDuringRun polls Progress, as /progress does, from another
+// goroutine while Run is starting and running; run it under -race. Once
+// Run returns, every session is accounted for and the elapsed time is
+// set.
+func TestProgressDuringRun(t *testing.T) {
+	srv, client := startGateway(t)
+	r, err := New(Config{
+		Addr: srv.Addr().String(), WTLS: client,
+		Conns: 4, Concurrency: 2, Records: 1, Payload: 64, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				polled <- n
+				return
+			default:
+				if p := r.Progress(); p.Done > p.Total {
+					t.Errorf("progress done %d past total %d", p.Done, p.Total)
+				}
+				n++
+			}
+		}
+	}()
+	// Let the poller run before Run starts: no happens-before edge
+	// orders those polls against Run's start.
+	time.Sleep(10 * time.Millisecond)
+	rep := r.Run()
+	close(stop)
+	if n := <-polled; n == 0 {
+		t.Fatal("progress never polled")
+	}
+	if rep.OK != 4 {
+		t.Fatalf("run: %s (lastErr=%v)", rep, r.LastErr())
+	}
+	if p := r.Progress(); p.Done != 4 || p.Active || p.ElapsedMS < 0 || p.ETAMS != 0 {
+		t.Fatalf("progress after Run: %+v", p)
+	}
+}

@@ -7,12 +7,14 @@ import (
 	"math/big"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cost"
 	"repro/internal/crypto/dh"
+	"repro/internal/crypto/hmac"
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rsa"
 	"repro/internal/crypto/sha1"
@@ -121,13 +123,9 @@ type Conn struct {
 	hsErr  error
 
 	// writeMu guards the outbound half connection and the wire writes
-	// through it: sealed records alias scratch that must reach the wire
-	// before the next seal, and records from concurrent writers must
-	// not interleave mid-record. wfrags is the fragment-list scratch
-	// Write uses to batch large payloads into one SealBatch call.
+	// through it (see writeRecords).
 	writeMu sync.Mutex
 	out     halfConn
-	wfrags  [][]byte
 
 	// readMu guards the inbound half connection, the record reader, the
 	// reassembly buffers, and post-handshake wire reads. rfrags is the
@@ -264,23 +262,45 @@ func (c *Conn) Metrics() Metrics {
 	return c.metrics
 }
 
-// writeRecordOut seals and writes one record under the write lock.
-// The sealed wire bytes alias the half connection's scratch and must
-// reach the wire inside the same critical section, and concurrent
-// writers' records must not interleave.
-func (c *Conn) writeRecordOut(recType uint8, payload []byte) error {
+// writeRecords is the one outbound record path. It seals frags as
+// consecutive records of one type with SealBatch and flushes them with
+// one transport write, all under the write lock: the sealed bytes alias
+// the half connection's scratch and must reach the wire before the next
+// seal, and concurrent writers' records must not interleave. A non-nil
+// km arms the outbound keys inside the same hold, right after the
+// ChangeCipherSpec that announces them, so a concurrent alert cannot
+// slip between the two with stale keys.
+func (c *Conn) writeRecords(recType uint8, frags [][]byte, km *keyMaterial) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	wire, err := c.out.sealOne(recType, payload)
+	wire, err := c.out.SealBatch(recType, frags)
 	if err != nil {
 		return err
 	}
-	return writeFull(c.conn, wire)
+	if err := writeFull(c.conn, wire); err != nil {
+		return err
+	}
+	c.mmu.Lock()
+	c.metrics.RecordsSent += len(frags)
+	c.mmu.Unlock()
+	if km == nil {
+		return nil
+	}
+	return c.arm(&c.out, km, c.isClient)
+}
+
+// arm enables hc with the keys km derived for the client's or the
+// server's writes.
+func (c *Conn) arm(hc *halfConn, km *keyMaterial, clientWrites bool) error {
+	if clientWrites {
+		return hc.enable(c.suite, km.clientMAC, km.clientKey, km.clientIV)
+	}
+	return hc.enable(c.suite, km.serverMAC, km.serverKey, km.serverIV)
 }
 
 // sendAlert writes an alert record (best effort).
 func (c *Conn) sendAlert(level, desc uint8) {
-	_ = c.writeRecordOut(recordAlert, []byte{level, desc})
+	_ = c.writeRecords(recordAlert, [][]byte{{level, desc}}, nil)
 }
 
 // fail sends a fatal alert and returns err wrapped with the alert's
@@ -290,18 +310,58 @@ func (c *Conn) fail(desc uint8, err error) error {
 	return fmt.Errorf("wtls: sent %s alert: %w", alertName(desc), err)
 }
 
-// writeHandshake protects, frames and transcripts one handshake message.
+// writeHandshake transcripts one handshake message and sends it as one
+// record.
 func (c *Conn) writeHandshake(msg []byte) error {
 	c.transcript.Write(msg)
+	return c.writeRecords(recordHandshake, [][]byte{msg}, nil)
+}
+
+// recvRecord is the one inbound record path. It reads the next record;
+// application data that Read wants comes back still sealed, for Read to
+// open together with the run buffered behind it. Any other record is
+// opened here as a batch of one and its outcome decided in one place:
+//   - the wanted type returns its payload, valid until the next open;
+//   - a bad MAC sends bad_record_mac;
+//   - an alert returns *AlertError, or io.EOF for close_notify;
+//   - a malformed alert or ChangeCipherSpec, or any other type, sends
+//     unexpected_message.
+func (c *Conn) recvRecord(want uint8) ([]byte, error) {
+	recType, frag, err := c.rr.next()
+	if err != nil {
+		return nil, err
+	}
+	if recType == recordApplicationData && want == recordApplicationData {
+		return frag, nil
+	}
 	c.mmu.Lock()
-	c.metrics.RecordsSent++
+	c.metrics.RecordsRcv++
 	c.mmu.Unlock()
-	return c.writeRecordOut(recordHandshake, msg)
+	payload, err := c.in.OpenBatch(recType, [][]byte{frag})
+	if err != nil {
+		return nil, c.fail(AlertBadRecordMAC, err)
+	}
+	switch {
+	case recType == want && (want != recordChangeCipherSpec || len(payload) == 1 && payload[0] == 1):
+		return payload, nil
+	case recType == recordAlert && len(payload) == 2:
+		if payload[1] == AlertCloseNotify {
+			c.closed.Store(true)
+			return nil, io.EOF
+		}
+		return nil, &AlertError{Level: payload[0], Description: payload[1]}
+	}
+	return nil, c.fail(AlertUnexpectedMessage,
+		fmt.Errorf("wtls: unexpected record type %d (%d bytes), want %d", recType, len(payload), want))
 }
 
 // readHandshakeMsg returns the next handshake message (type, body),
-// reading records as needed and updating the transcript.
+// reading records as needed and updating the transcript. More than
+// maxEmptyRecords empty handshake records toward one message fail the
+// handshake with AlertUnexpectedMessage, as Read bounds empty
+// application records.
 func (c *Conn) readHandshakeMsg() (uint8, []byte, error) {
+	empty := 0
 	for {
 		if len(c.handshakeBuf) >= 4 {
 			n := int(c.handshakeBuf[1])<<16 | int(c.handshakeBuf[2])<<8 | int(c.handshakeBuf[3])
@@ -315,32 +375,20 @@ func (c *Conn) readHandshakeMsg() (uint8, []byte, error) {
 				msg := c.handshakeBuf[:4+n]
 				c.handshakeBuf = c.handshakeBuf[4+n:]
 				c.transcript.Write(msg)
-				t, body, err := splitHandshake(msg)
-				return t, body, err
+				return splitHandshake(msg)
 			}
 		}
-		recType, frag, err := c.rr.next()
+		payload, err := c.recvRecord(recordHandshake)
 		if err != nil {
 			return 0, nil, err
 		}
-		c.mmu.Lock()
-		c.metrics.RecordsRcv++
-		c.mmu.Unlock()
-		payload, err := c.in.unprotect(recType, frag)
-		if err != nil {
-			return 0, nil, c.fail(AlertBadRecordMAC, err)
-		}
-		switch recType {
-		case recordHandshake:
-			c.handshakeBuf = append(c.handshakeBuf, payload...)
-		case recordAlert:
-			if len(payload) != 2 {
-				return 0, nil, errors.New("wtls: malformed alert")
+		if len(payload) == 0 {
+			if empty++; empty > maxEmptyRecords {
+				return 0, nil, c.fail(AlertUnexpectedMessage,
+					fmt.Errorf("wtls: %d empty handshake records", empty))
 			}
-			return 0, nil, &AlertError{Level: payload[0], Description: payload[1]}
-		default:
-			return 0, nil, fmt.Errorf("wtls: unexpected record type %d during handshake", recType)
 		}
+		c.handshakeBuf = append(c.handshakeBuf, payload...)
 	}
 }
 
@@ -357,48 +405,39 @@ func (c *Conn) expectHandshake(want uint8) ([]byte, error) {
 	return body, nil
 }
 
-// sendChangeCipherSpec emits the CCS record and arms the outbound keys.
-// Sealing the CCS and arming the new keys happen under one write-lock
-// hold so a concurrent alert cannot slip between them with stale keys.
-func (c *Conn) sendChangeCipherSpec(km *keyMaterial) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	wire, err := c.out.sealOne(recordChangeCipherSpec, []byte{1})
-	if err != nil {
+// sendFinished sends ChangeCipherSpec, arming the outbound keys, then
+// this side's Finished over the transcript so far.
+func (c *Conn) sendFinished(km *keyMaterial) error {
+	if err := c.writeRecords(recordChangeCipherSpec, [][]byte{{1}}, km); err != nil {
 		return err
 	}
-	if err := writeFull(c.conn, wire); err != nil {
-		return err
-	}
-	if c.isClient {
-		return c.out.enable(c.suite, km.clientMAC, km.clientKey, km.clientIV)
-	}
-	return c.out.enable(c.suite, km.serverMAC, km.serverKey, km.serverIV)
+	fin := &finishedMsg{verify: finishedData(c.master, c.isClient, c.transcriptHash())}
+	return c.writeHandshake(fin.marshal())
 }
 
-// recvChangeCipherSpec consumes the peer CCS and arms the inbound keys.
-func (c *Conn) recvChangeCipherSpec(km *keyMaterial) error {
-	recType, frag, err := c.rr.next()
+// recvFinished reads the peer's ChangeCipherSpec, arming the inbound
+// keys, then checks the peer's Finished against the transcript before
+// it.
+func (c *Conn) recvFinished(km *keyMaterial) error {
+	if _, err := c.recvRecord(recordChangeCipherSpec); err != nil {
+		return err
+	}
+	if err := c.arm(&c.in, km, !c.isClient); err != nil {
+		return err
+	}
+	want := finishedData(c.master, !c.isClient, c.transcriptHash())
+	body, err := c.expectHandshake(typeFinished)
 	if err != nil {
 		return err
 	}
-	c.mmu.Lock()
-	c.metrics.RecordsRcv++
-	c.mmu.Unlock()
-	payload, err := c.in.unprotect(recType, frag)
+	fin, err := parseFinished(body)
 	if err != nil {
-		return err
+		return c.fail(AlertHandshakeFailed, err)
 	}
-	if recType == recordAlert && len(payload) == 2 {
-		return &AlertError{Level: payload[0], Description: payload[1]}
+	if !hmac.Equal(fin.verify, want) {
+		return c.fail(AlertHandshakeFailed, errors.New("wtls: finished verify data mismatch"))
 	}
-	if recType != recordChangeCipherSpec || len(payload) != 1 || payload[0] != 1 {
-		return errors.New("wtls: expected change cipher spec")
-	}
-	if c.isClient {
-		return c.in.enable(c.suite, km.serverMAC, km.serverKey, km.serverIV)
-	}
-	return c.in.enable(c.suite, km.clientMAC, km.clientKey, km.clientIV)
+	return nil
 }
 
 // Handshake runs the protocol handshake. It is idempotent and safe for
@@ -497,14 +536,7 @@ func (c *Conn) clientHandshake() error {
 	if err != nil {
 		return c.fail(AlertHandshakeFailed, err)
 	}
-	offered := false
-	for _, id := range hello.suites {
-		if id == sh.suite {
-			offered = true
-			break
-		}
-	}
-	if !offered {
+	if !slices.Contains(hello.suites, sh.suite) {
 		return c.fail(AlertHandshakeFailed, fmt.Errorf("wtls: server chose unoffered suite %#04x", sh.suite))
 	}
 	c.suite = st
@@ -519,22 +551,10 @@ func (c *Conn) clientHandshake() error {
 		c.master = cached.master
 		km := deriveKeys(c.master, clientRandom, sh.random, st.MACKeyLen, st.KeyLen, st.IVLen)
 		// Server finishes first on resumption.
-		if err := c.recvChangeCipherSpec(&km); err != nil {
+		if err := c.recvFinished(&km); err != nil {
 			return err
 		}
-		serverTranscript := c.transcriptHash()
-		fbody, err := c.expectHandshake(typeFinished)
-		if err != nil {
-			return err
-		}
-		if err := c.checkFinished(fbody, false, serverTranscript); err != nil {
-			return err
-		}
-		if err := c.sendChangeCipherSpec(&km); err != nil {
-			return err
-		}
-		fin := &finishedMsg{verify: finishedData(c.master, true, c.transcriptHash())}
-		return c.writeHandshake(fin.marshal())
+		return c.sendFinished(&km)
 	}
 
 	// Full handshake: certificate (+ server key exchange for DHE).
@@ -620,22 +640,10 @@ func (c *Conn) clientHandshake() error {
 	c.master = deriveMaster(premaster, clientRandom, sh.random)
 	km := deriveKeys(c.master, clientRandom, sh.random, st.MACKeyLen, st.KeyLen, st.IVLen)
 
-	if err := c.sendChangeCipherSpec(&km); err != nil {
+	if err := c.sendFinished(&km); err != nil {
 		return err
 	}
-	fin := &finishedMsg{verify: finishedData(c.master, true, c.transcriptHash())}
-	if err := c.writeHandshake(fin.marshal()); err != nil {
-		return err
-	}
-	if err := c.recvChangeCipherSpec(&km); err != nil {
-		return err
-	}
-	serverTranscript := c.transcriptHash()
-	fbody, err := c.expectHandshake(typeFinished)
-	if err != nil {
-		return err
-	}
-	if err := c.checkFinished(fbody, false, serverTranscript); err != nil {
+	if err := c.recvFinished(&km); err != nil {
 		return err
 	}
 	if c.cfg.SessionCache != nil && c.cfg.ServerName != "" && len(c.sessionID) > 0 {
@@ -660,17 +668,9 @@ func (c *Conn) serverHandshake() error {
 
 	// Resumption path.
 	if c.cfg.SessionCache != nil && len(ch.sessionID) > 0 {
-		if s := c.cfg.SessionCache.get("server:" + string(ch.sessionID)); s != nil {
-			offered := false
-			for _, id := range ch.suites {
-				if id == s.suiteID {
-					offered = true
-					break
-				}
-			}
-			if offered {
-				return c.serverResume(ch, s, serverRandom)
-			}
+		s := c.cfg.SessionCache.get("server:" + string(ch.sessionID))
+		if s != nil && slices.Contains(ch.suites, s.suiteID) {
+			return c.serverResume(ch, s, serverRandom)
 		}
 	}
 
@@ -756,22 +756,10 @@ func (c *Conn) serverHandshake() error {
 	km := deriveKeys(c.master, ch.random, serverRandom, st.MACKeyLen, st.KeyLen, st.IVLen)
 
 	c.phaseMark("finished")
-	if err := c.recvChangeCipherSpec(&km); err != nil {
+	if err := c.recvFinished(&km); err != nil {
 		return err
 	}
-	clientTranscript := c.transcriptHash()
-	fbody, err := c.expectHandshake(typeFinished)
-	if err != nil {
-		return err
-	}
-	if err := c.checkFinished(fbody, true, clientTranscript); err != nil {
-		return err
-	}
-	if err := c.sendChangeCipherSpec(&km); err != nil {
-		return err
-	}
-	fin := &finishedMsg{verify: finishedData(c.master, false, c.transcriptHash())}
-	if err := c.writeHandshake(fin.marshal()); err != nil {
+	if err := c.sendFinished(&km); err != nil {
 		return err
 	}
 	if c.cfg.SessionCache != nil {
@@ -797,41 +785,10 @@ func (c *Conn) serverResume(ch *clientHello, s *session, serverRandom []byte) er
 		return err
 	}
 	km := deriveKeys(c.master, ch.random, serverRandom, st.MACKeyLen, st.KeyLen, st.IVLen)
-	if err := c.sendChangeCipherSpec(&km); err != nil {
+	if err := c.sendFinished(&km); err != nil {
 		return err
 	}
-	fin := &finishedMsg{verify: finishedData(c.master, false, c.transcriptHash())}
-	if err := c.writeHandshake(fin.marshal()); err != nil {
-		return err
-	}
-	if err := c.recvChangeCipherSpec(&km); err != nil {
-		return err
-	}
-	clientTranscript := c.transcriptHash()
-	fbody, err := c.expectHandshake(typeFinished)
-	if err != nil {
-		return err
-	}
-	return c.checkFinished(fbody, true, clientTranscript)
-}
-
-func (c *Conn) checkFinished(body []byte, fromClient bool, transcriptHash []byte) error {
-	fin, err := parseFinished(body)
-	if err != nil {
-		return c.fail(AlertHandshakeFailed, err)
-	}
-	want := finishedData(c.master, fromClient, transcriptHash)
-	if len(fin.verify) != len(want) {
-		return c.fail(AlertHandshakeFailed, errors.New("wtls: finished length"))
-	}
-	var diff byte
-	for i := range want {
-		diff |= fin.verify[i] ^ want[i]
-	}
-	if diff != 0 {
-		return c.fail(AlertHandshakeFailed, errors.New("wtls: finished verify data mismatch"))
-	}
-	return nil
+	return c.recvFinished(&km)
 }
 
 // Write sends application data, fragmenting into records as needed. A
@@ -847,6 +804,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if c.closed.Load() {
 		return 0, errors.New("wtls: connection closed")
 	}
+	var frags [maxRecordsPerBatch][]byte
 	total := 0
 	for len(p) > 0 {
 		tsp := c.tparent.Load()
@@ -854,34 +812,20 @@ func (c *Conn) Write(p []byte) (int, error) {
 		if tsp != nil {
 			t0 = obs.DTraceNowUS()
 		}
-		c.writeMu.Lock()
-		frags := c.wfrags[:0]
-		batchBytes := 0
-		for len(p) > 0 && len(frags) < maxRecordsPerBatch {
-			n := len(p)
-			if n > maxRecordPayload {
-				n = maxRecordPayload
-			}
-			frags = append(frags, p[:n])
-			batchBytes += n
-			p = p[n:]
+		n, batchBytes := 0, 0
+		for ; len(p) > 0 && n < maxRecordsPerBatch; n++ {
+			m := min(len(p), maxRecordPayload)
+			frags[n] = p[:m]
+			batchBytes += m
+			p = p[m:]
 		}
-		c.wfrags = frags
-		wire, err := c.out.SealBatch(recordApplicationData, frags)
-		if err != nil {
-			c.writeMu.Unlock()
-			return total, err
-		}
-		err = writeFull(c.conn, wire)
-		c.writeMu.Unlock()
-		if err != nil {
+		if err := c.writeRecords(recordApplicationData, frags[:n], nil); err != nil {
 			return total, err
 		}
 		if tsp != nil {
 			tsp.Event("wtls", "record_batch", t0, obs.DTraceNowUS()-t0, int64(batchBytes))
 		}
 		c.mmu.Lock()
-		c.metrics.RecordsSent += len(frags)
 		c.metrics.AppBytesOut += batchBytes
 		c.metrics.BulkInstr += float64(batchBytes) * cost.BulkInstrPerByte(c.suite.Cipher, c.suite.MAC)
 		c.mmu.Unlock()
@@ -895,8 +839,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 // pulled in several), they are decrypted as one OpenBatch call with a
 // single metrics update; the batch never waits for more wire data. More
 // than maxEmptyRecords consecutive application records that yield no
-// data fail the read with AlertUnexpectedMessage. Safe for concurrent
-// use; concurrent readers are served one at a time.
+// data fail the read with AlertUnexpectedMessage, and recvRecord decides
+// every other record. Safe for concurrent use; concurrent readers are
+// served one at a time.
 func (c *Conn) Read(p []byte) (int, error) {
 	if err := c.Handshake(); err != nil {
 		return 0, err
@@ -910,67 +855,40 @@ func (c *Conn) Read(p []byte) (int, error) {
 		if c.closed.Load() {
 			return 0, io.EOF
 		}
-		recType, frag, err := c.rr.next()
+		frag, err := c.recvRecord(recordApplicationData)
 		if err != nil {
 			return 0, err
 		}
-		switch recType {
-		case recordApplicationData:
-			// Collect consecutive already-buffered application records.
-			// peek never refills the reader, so frag and its successors
-			// stay alias-stable across the collection loop.
-			frags := append(c.rfrags[:0], frag)
-			for len(frags) < maxRecordsPerBatch {
-				t, ok := c.rr.peek()
-				if !ok || t != recordApplicationData {
-					break
-				}
-				if _, f, err := c.rr.next(); err == nil {
-					frags = append(frags, f)
-				}
+		// Collect consecutive already-buffered application records.
+		// peek never refills the reader, so frag and its successors
+		// stay alias-stable across the collection loop.
+		frags := append(c.rfrags[:0], frag)
+		for len(frags) < maxRecordsPerBatch {
+			t, ok := c.rr.peek()
+			if !ok || t != recordApplicationData {
+				break
 			}
-			c.rfrags = frags
-			payload, err := c.in.OpenBatch(recordApplicationData, frags)
-			if err != nil {
-				return 0, c.fail(AlertBadRecordMAC, err)
+			if _, f, err := c.rr.next(); err == nil {
+				frags = append(frags, f)
 			}
-			if len(payload) == 0 {
-				if empty += len(frags); empty > maxEmptyRecords {
-					return 0, c.fail(AlertUnexpectedMessage,
-						fmt.Errorf("wtls: %d consecutive empty application records", empty))
-				}
-			}
-			c.readBuf = append(c.readBuf, payload...)
-			c.mmu.Lock()
-			c.metrics.RecordsRcv += len(frags)
-			c.metrics.AppBytesIn += len(payload)
-			c.metrics.BulkInstr += float64(len(payload)) * cost.BulkInstrPerByte(c.suite.Cipher, c.suite.MAC)
-			c.mmu.Unlock()
-		case recordAlert:
-			c.mmu.Lock()
-			c.metrics.RecordsRcv++
-			c.mmu.Unlock()
-			payload, err := c.in.unprotect(recType, frag)
-			if err != nil {
-				return 0, c.fail(AlertBadRecordMAC, err)
-			}
-			if len(payload) != 2 {
-				return 0, errors.New("wtls: malformed alert")
-			}
-			if payload[1] == AlertCloseNotify {
-				c.closed.Store(true)
-				return 0, io.EOF
-			}
-			return 0, &AlertError{Level: payload[0], Description: payload[1]}
-		default:
-			c.mmu.Lock()
-			c.metrics.RecordsRcv++
-			c.mmu.Unlock()
-			if _, err := c.in.unprotect(recType, frag); err != nil {
-				return 0, c.fail(AlertBadRecordMAC, err)
-			}
-			return 0, fmt.Errorf("wtls: unexpected record type %d", recType)
 		}
+		c.rfrags = frags
+		payload, err := c.in.OpenBatch(recordApplicationData, frags)
+		if err != nil {
+			return 0, c.fail(AlertBadRecordMAC, err)
+		}
+		if len(payload) == 0 {
+			if empty += len(frags); empty > maxEmptyRecords {
+				return 0, c.fail(AlertUnexpectedMessage,
+					fmt.Errorf("wtls: %d consecutive empty application records", empty))
+			}
+		}
+		c.readBuf = append(c.readBuf, payload...)
+		c.mmu.Lock()
+		c.metrics.RecordsRcv += len(frags)
+		c.metrics.AppBytesIn += len(payload)
+		c.metrics.BulkInstr += float64(len(payload)) * cost.BulkInstrPerByte(c.suite.Cipher, c.suite.MAC)
+		c.mmu.Unlock()
 	}
 	n := copy(p, c.readBuf[c.readOff:])
 	c.readOff += n

@@ -2,6 +2,7 @@ package wtls
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -83,18 +84,66 @@ func FuzzUnmarshalCertificate(f *testing.F) {
 	})
 }
 
+// chunkReader serves at most n bytes per Read and counts its calls, so
+// a test can tell whether the record reader went back to the transport.
+type chunkReader struct {
+	r     io.Reader
+	n     int
+	reads int
+}
+
+func (cr *chunkReader) Read(p []byte) (int, error) {
+	cr.reads++
+	if len(p) > cr.n {
+		p = p[:cr.n]
+	}
+	return cr.r.Read(p)
+}
+
+// FuzzReadRecord drives the connection's recordReader over hostile bytes
+// arriving in fuzzer-sized transport reads. Every record next returns
+// must be the type and fragment framed in the input, no fragment may
+// exceed maxRecordFragment, and when peek reports a complete record,
+// next must return that type without reading the transport.
 func FuzzReadRecord(f *testing.F) {
-	f.Add([]byte{recordHandshake, 0x03, 0x01, 0x00, 0x01, 0xAA})
-	f.Add([]byte{})
+	f.Add([]byte{recordHandshake, 0x03, 0x01, 0x00, 0x01, 0xAA}, uint16(1))
+	f.Add([]byte{}, uint16(0))
 	// Oversized length field: the header claims 0xFFFF fragment bytes,
 	// far past maxRecordFragment. The parser must reject on the header
 	// alone — an attacker-controlled length may never size an
 	// allocation.
-	f.Add([]byte{recordHandshake, 0x03, 0x01, 0xFF, 0xFF})
+	f.Add([]byte{recordHandshake, 0x03, 0x01, 0xFF, 0xFF}, uint16(5))
 	f.Add(append([]byte{recordApplicationData, 0x03, 0x01, 0xFF, 0xFF},
-		bytes.Repeat([]byte{0x41}, 1024)...))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		readRecord(bytes.NewReader(data)) //nolint:errcheck // must not panic
+		bytes.Repeat([]byte{0x41}, 1024)...), uint16(4096))
+	// Three records in one read: the second and third are peekable.
+	f.Add([]byte{
+		recordHandshake, 0x03, 0x01, 0x00, 0x02, 0x01, 0x02,
+		recordApplicationData, 0x03, 0x01, 0x00, 0x00,
+		recordAlert, 0x03, 0x01, 0x00, 0x02, 0x02, 0x28,
+	}, uint16(64))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
+		src := &chunkReader{r: bytes.NewReader(data), n: int(chunk)%(2*maxRecordFragment) + 1}
+		rr := newRecordReader(src)
+		off := 0
+		for {
+			peeked, complete := rr.peek()
+			reads := src.reads
+			typ, frag, err := rr.next()
+			if complete && (err != nil || typ != peeked || src.reads != reads) {
+				t.Fatalf("peek reported a complete type %d record; next = type %d, %v after %d transport reads",
+					peeked, typ, err, src.reads-reads)
+			}
+			if err != nil {
+				return
+			}
+			if len(frag) > maxRecordFragment {
+				t.Fatalf("fragment of %d bytes past the %d cap", len(frag), maxRecordFragment)
+			}
+			if typ != data[off] || !bytes.Equal(frag, data[off+recordHeaderLen:off+recordHeaderLen+len(frag)]) {
+				t.Fatalf("record at offset %d does not match its framing in the input", off)
+			}
+			off += recordHeaderLen + len(frag)
+		}
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -202,16 +203,18 @@ func (cw *chunkWriter) Write(p []byte) (int, error) {
 	return cw.w.Write(p)
 }
 
-// TestWriteRecordShortWrites proves writeRecord survives a transport
-// that accepts one byte at a time: the record must arrive complete and
-// parse back to the identical fragment.
+// TestWriteRecordShortWrites proves writeFull delivers a framed record
+// through a transport that accepts one byte at a time, and that the
+// recordReader reassembles it from one-byte reads into the identical
+// fragment.
 func TestWriteRecordShortWrites(t *testing.T) {
 	var sink bytes.Buffer
 	frag := bytes.Repeat([]byte{0xC3}, 300)
-	if err := writeRecord(&chunkWriter{w: &sink, n: 1}, recordApplicationData, frag); err != nil {
+	wire := append(appendHeader(nil, recordApplicationData, len(frag)), frag...)
+	if err := writeFull(&chunkWriter{w: &sink, n: 1}, wire); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := readRecord(&sink)
+	typ, got, err := newRecordReader(iotest.OneByteReader(&sink)).next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,23 +243,38 @@ func (w *errAfterWriter) Write(p []byte) (int, error) {
 	return n, nil
 }
 
+// zeroWriter accepts nothing and reports no error: a broken transport.
+type zeroWriter struct{}
+
+func (zeroWriter) Write([]byte) (int, error) { return 0, nil }
+
+// TestWriteRecordPropagatesWriteError: a transport failing mid-record
+// surfaces its own error, and one that makes no progress surfaces
+// io.ErrShortWrite instead of spinning.
 func TestWriteRecordPropagatesWriteError(t *testing.T) {
-	err := writeRecord(&errAfterWriter{k: 3}, recordApplicationData, []byte("payload"))
+	wire := append(appendHeader(nil, recordApplicationData, len("payload")), "payload"...)
+	err := writeFull(&errAfterWriter{k: 3}, wire)
 	if err == nil || !strings.Contains(err.Error(), "link down") {
 		t.Fatalf("mid-record failure = %v, want link down", err)
+	}
+	if err := writeFull(zeroWriter{}, wire); err != io.ErrShortWrite {
+		t.Fatalf("no-progress writer = %v, want io.ErrShortWrite", err)
 	}
 }
 
 // TestOversizedInboundRejected: a handshake length field claiming more
-// than maxHandshakeMsg must produce a decode error, not an allocation.
+// than maxHandshakeMsg, or a record length past maxRecordFragment, must
+// produce a decode error, not an allocation.
 func TestOversizedInboundRejected(t *testing.T) {
 	if _, _, err := splitHandshake([]byte{typeClientHello, 0xFF, 0xFF, 0xFF}); err == nil {
 		t.Fatal("16MiB handshake length accepted")
 	}
-	var r bytes.Buffer
-	r.Write([]byte{recordHandshake, 0x03, 0x01, 0xFF, 0xFF})
-	if _, _, err := readRecord(&r); err == nil {
+	rr := newRecordReader(bytes.NewReader([]byte{recordHandshake, 0x03, 0x01, 0xFF, 0xFF}))
+	if _, _, err := rr.next(); err == nil {
 		t.Fatal("oversized record length accepted")
+	}
+	if cap(rr.buf) > minReadBuf {
+		t.Fatalf("reader grew to %d bytes on an oversized header", cap(rr.buf))
 	}
 }
 

@@ -245,43 +245,16 @@ func (hc *halfConn) appendRecord(dst []byte, recType uint8, payload []byte) ([]b
 	return dst, nil
 }
 
-// observeSealed accumulates the per-batch seal metrics and profile
-// weights. Only called while enabled (hc.suite set).
-func (hc *halfConn) observeSealed(records, payloadBytes int) {
-	mRecordsSealed.Add(int64(records))
-	mSealBytes.Add(int64(payloadBytes))
+// observe adds one batch's records and payload bytes to the seal or
+// open counters given, and its cipher and MAC profile weights. Only
+// called while enabled (hc.suite set).
+func (hc *halfConn) observe(records, bytes *obs.Counter, n, payloadBytes int) {
+	records.Add(int64(n))
+	bytes.Add(int64(payloadBytes))
 	if prof.Enabled() {
 		hc.pCipher.AddCycles(int64(cost.InstrPerByte(hc.suite.Cipher) * float64(payloadBytes)))
 		hc.pMAC.AddCycles(int64(cost.InstrPerByte(hc.suite.MAC) * float64(payloadBytes)))
 	}
-}
-
-// observeOpened accumulates the per-batch open metrics and profile
-// weights. Only called while enabled.
-func (hc *halfConn) observeOpened(records, payloadBytes int) {
-	mRecordsOpened.Add(int64(records))
-	mOpenBytes.Add(int64(payloadBytes))
-	if prof.Enabled() {
-		hc.pCipher.AddCycles(int64(cost.InstrPerByte(hc.suite.Cipher) * float64(payloadBytes)))
-		hc.pMAC.AddCycles(int64(cost.InstrPerByte(hc.suite.MAC) * float64(payloadBytes)))
-	}
-}
-
-// sealOne seals one record into the wire scratch, returning the framed
-// wire bytes (header included). The result aliases the half connection's
-// scratch and is valid until the next seal; callers write it out (or copy
-// it) immediately.
-func (hc *halfConn) sealOne(recType uint8, payload []byte) ([]byte, error) {
-	out, err := hc.appendRecord(hc.wireBuf[:0], recType, payload)
-	hc.wireBuf = out[:0]
-	if err != nil {
-		return nil, err
-	}
-	if hc.enabled {
-		mRecordSizes.Observe(int64(len(payload)))
-		hc.observeSealed(1, len(payload))
-	}
-	return out, nil
 }
 
 // SealBatch seals payloads as consecutive records into one wire buffer,
@@ -304,7 +277,7 @@ func (hc *halfConn) SealBatch(recType uint8, payloads [][]byte) ([]byte, error) 
 	}
 	hc.wireBuf = out[:0]
 	if hc.enabled {
-		hc.observeSealed(len(payloads), total)
+		hc.observe(mRecordsSealed, mSealBytes, len(payloads), total)
 	}
 	return out, nil
 }
@@ -359,21 +332,6 @@ func (hc *halfConn) openAppend(dst []byte, recType uint8, sealed []byte) ([]byte
 	return payload, dst[:base+len(payload)], nil
 }
 
-// unprotect opens a sealed fragment. The returned payload aliases the half
-// connection's scratch buffer and is valid until the next open; callers
-// append it into their own buffers immediately.
-func (hc *halfConn) unprotect(recType uint8, sealed []byte) ([]byte, error) {
-	payload, out, err := hc.openAppend(hc.openBuf[:0], recType, sealed)
-	hc.openBuf = out[:0]
-	if err != nil {
-		return nil, err
-	}
-	if hc.enabled {
-		hc.observeOpened(1, len(payload))
-	}
-	return payload, nil
-}
-
 // OpenBatch opens sealed fragments as consecutive records, returning the
 // concatenated plaintext. The result aliases the half connection's
 // scratch — valid until the next open. Any failure poisons the whole
@@ -392,27 +350,16 @@ func (hc *halfConn) OpenBatch(recType uint8, frags [][]byte) ([]byte, error) {
 	}
 	hc.openBuf = out[:0]
 	if hc.enabled {
-		hc.observeOpened(len(frags), total)
+		hc.observe(mRecordsOpened, mOpenBytes, len(frags), total)
 	}
 	return out, nil
 }
 
-// writeRecord frames and writes one record in a single Write call. Real
-// sockets (and deliberately chunking test writers) can short-write, and a
-// torn record desynchronizes the peer forever, so the write loops via
-// writeFull.
-func writeRecord(w io.Writer, recType uint8, fragment []byte) error {
-	if len(fragment) > maxRecordFragment {
-		return errors.New("wtls: oversized record")
-	}
-	wire := appendHeader(make([]byte, 0, recordHeaderLen+len(fragment)), recType, len(fragment))
-	wire = append(wire, fragment...)
-	return writeFull(w, wire)
-}
-
-// writeFull writes all of p, looping on short writes. A writer that
-// makes no progress without reporting an error is broken; surface it as
-// io.ErrShortWrite instead of spinning.
+// writeFull writes all of p, looping on short writes: real sockets (and
+// deliberately chunking test writers) can short-write, and a torn record
+// desynchronizes the peer forever. A writer that makes no progress
+// without reporting an error is broken; surface it as io.ErrShortWrite
+// instead of spinning.
 func writeFull(w io.Writer, p []byte) error {
 	for len(p) > 0 {
 		n, err := w.Write(p)
@@ -425,29 +372,6 @@ func writeFull(w io.Writer, p []byte) error {
 		p = p[n:]
 	}
 	return nil
-}
-
-// readRecord reads one record, returning its type and raw fragment.
-// The buffered recordReader is the connection path; this free function
-// remains for tests and one-shot parsing.
-func readRecord(r io.Reader) (uint8, []byte, error) {
-	var hdr [recordHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	ver := uint16(hdr[1])<<8 | uint16(hdr[2])
-	if ver != protocolVersion {
-		return 0, nil, fmt.Errorf("wtls: record version %#04x", ver)
-	}
-	n := int(hdr[3])<<8 | int(hdr[4])
-	if n > maxRecordFragment {
-		return 0, nil, errors.New("wtls: oversized record")
-	}
-	frag := make([]byte, n)
-	if _, err := io.ReadFull(r, frag); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], frag, nil
 }
 
 // minReadBuf is the initial record-reader buffer: large enough that a
@@ -517,6 +441,20 @@ func (rr *recordReader) require(n int) error {
 	return nil
 }
 
+// header parses the buffered record header at pos, returning the record
+// type and fragment length. The caller ensures the header is buffered.
+func (rr *recordReader) header() (uint8, int, error) {
+	hdr := rr.buf[rr.pos : rr.pos+recordHeaderLen]
+	if ver := uint16(hdr[1])<<8 | uint16(hdr[2]); ver != protocolVersion {
+		return 0, 0, fmt.Errorf("wtls: record version %#04x", ver)
+	}
+	n := int(hdr[3])<<8 | int(hdr[4])
+	if n > maxRecordFragment {
+		return 0, 0, errors.New("wtls: oversized record")
+	}
+	return hdr[0], n, nil
+}
+
 // next reads one record, returning its type and fragment. The fragment
 // aliases the internal buffer: it is valid until a next call that has to
 // refill (peek-guarded batch reads never do).
@@ -524,19 +462,13 @@ func (rr *recordReader) next() (uint8, []byte, error) {
 	if err := rr.require(recordHeaderLen); err != nil {
 		return 0, nil, err
 	}
-	hdr := rr.buf[rr.pos : rr.pos+recordHeaderLen]
-	ver := uint16(hdr[1])<<8 | uint16(hdr[2])
-	if ver != protocolVersion {
-		return 0, nil, fmt.Errorf("wtls: record version %#04x", ver)
-	}
-	n := int(hdr[3])<<8 | int(hdr[4])
-	if n > maxRecordFragment {
-		return 0, nil, errors.New("wtls: oversized record")
+	recType, n, err := rr.header()
+	if err != nil {
+		return 0, nil, err
 	}
 	if err := rr.require(recordHeaderLen + n); err != nil {
 		return 0, nil, err
 	}
-	recType := rr.buf[rr.pos]
 	frag := rr.buf[rr.pos+recordHeaderLen : rr.pos+recordHeaderLen+n]
 	rr.pos += recordHeaderLen + n
 	return recType, frag, nil
@@ -547,16 +479,12 @@ func (rr *recordReader) next() (uint8, []byte, error) {
 // valid across it. A buffered-but-malformed header reports false and is
 // left for next to surface as an error.
 func (rr *recordReader) peek() (uint8, bool) {
-	if rr.end-rr.pos < recordHeaderLen {
+	if rr.buffered() < recordHeaderLen {
 		return 0, false
 	}
-	hdr := rr.buf[rr.pos : rr.pos+recordHeaderLen]
-	if ver := uint16(hdr[1])<<8 | uint16(hdr[2]); ver != protocolVersion {
+	recType, n, err := rr.header()
+	if err != nil || rr.buffered() < recordHeaderLen+n {
 		return 0, false
 	}
-	n := int(hdr[3])<<8 | int(hdr[4])
-	if n > maxRecordFragment || rr.end-rr.pos < recordHeaderLen+n {
-		return 0, false
-	}
-	return hdr[0], true
+	return recType, true
 }

@@ -50,18 +50,22 @@ var allocSuites = []struct {
 
 // TestSealOpenZeroAllocs pins the steady-state record path at exactly 0
 // allocations per sealed-and-opened record for stream and block suites —
-// the invariant the aggregate-throughput benchmark depends on.
+// the invariant the aggregate-throughput benchmark depends on. A single
+// record is a batch of one, the shape of every handshake, CCS and alert
+// record a Conn sends and receives.
 func TestSealOpenZeroAllocs(t *testing.T) {
 	for _, tc := range allocSuites {
 		t.Run(tc.name, func(t *testing.T) {
 			seal, open := enabledPair(t, tc.id)
 			payload := bytes.Repeat([]byte{0x5a}, 1024)
+			in, frag := [][]byte{payload}, [][]byte{nil}
 			roundtrip := func() {
-				wire, err := seal.sealOne(recordApplicationData, payload)
+				wire, err := seal.SealBatch(recordApplicationData, in)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := open.unprotect(recordApplicationData, wire[recordHeaderLen:])
+				frag[0] = wire[recordHeaderLen:]
+				got, err := open.OpenBatch(recordApplicationData, frag)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -126,24 +130,25 @@ func TestSealBatchZeroAllocs(t *testing.T) {
 }
 
 // TestNullSuiteUnprotectZeroAllocs covers the pre-handshake NULL path:
-// unprotect on a disabled half connection must hand back the bytes from
-// its reusable scratch, not a fresh copy per record.
+// opening a batch of one on a disabled half connection must hand back the
+// bytes from its reusable scratch, not a fresh copy per record.
 func TestNullSuiteUnprotectZeroAllocs(t *testing.T) {
 	var hc halfConn
 	sealed := bytes.Repeat([]byte{0x77}, 256)
+	frag := [][]byte{sealed}
 	null := func() {
-		got, err := hc.unprotect(recordHandshake, sealed)
+		got, err := hc.OpenBatch(recordHandshake, frag)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, sealed) {
-			t.Fatal("null unprotect mismatch")
+			t.Fatal("null open mismatch")
 		}
 	}
 	for i := 0; i < 4; i++ {
 		null()
 	}
 	if allocs := testing.AllocsPerRun(200, null); allocs != 0 {
-		t.Fatalf("null unprotect allocates %.1f allocs/op, want 0", allocs)
+		t.Fatalf("null open allocates %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -46,8 +46,9 @@ func splitPayloads(data []byte) [][]byte {
 
 // TestSealBatchMatchesSequential: for every suite, SealBatch's wire bytes
 // must be byte-identical to the concatenation of sequential single-record
-// seals from an identically-keyed half connection, and OpenBatch must
-// recover the exact plaintext concatenation.
+// batches from an identically-keyed half connection, and OpenBatch must
+// recover the exact plaintext concatenation whole and one record at a
+// time.
 func TestSealBatchMatchesSequential(t *testing.T) {
 	data := make([]byte, 4096)
 	for i := range data {
@@ -69,14 +70,14 @@ func TestSealBatchMatchesSequential(t *testing.T) {
 
 			var seqWire []byte
 			for _, p := range payloads {
-				w, err := seqSeal.sealOne(recordApplicationData, p)
+				w, err := seqSeal.SealBatch(recordApplicationData, [][]byte{p})
 				if err != nil {
 					t.Fatal(err)
 				}
 				seqWire = append(seqWire, w...)
 			}
 			if !bytes.Equal(batchWire, seqWire) {
-				t.Fatalf("SealBatch wire differs from %d sequential seals", len(payloads))
+				t.Fatalf("SealBatch wire differs from %d single-record batches", len(payloads))
 			}
 
 			// Parse the wire back into fragments and open both ways.
@@ -99,22 +100,22 @@ func TestSealBatchMatchesSequential(t *testing.T) {
 			}
 			var seqGot []byte
 			for _, f := range frags {
-				p, err := seqOpen.unprotect(recordApplicationData, f)
+				p, err := seqOpen.OpenBatch(recordApplicationData, [][]byte{f})
 				if err != nil {
 					t.Fatal(err)
 				}
 				seqGot = append(seqGot, p...)
 			}
 			if !bytes.Equal(seqGot, want) {
-				t.Fatal("sequential unprotect plaintext mismatch")
+				t.Fatal("single-record OpenBatch plaintext mismatch")
 			}
 		})
 	}
 }
 
-// FuzzSealBatch cross-checks batch and sequential sealing on fuzzer-
-// chosen payload splits and suites, then proves the batch opens back to
-// the original bytes.
+// FuzzSealBatch cross-checks batch sealing against single-record batches
+// on fuzzer-chosen payload splits and suites, then proves the batch opens
+// back to the original bytes.
 func FuzzSealBatch(f *testing.F) {
 	f.Add([]byte("hello world"), uint8(0), uint8(3))
 	f.Add(bytes.Repeat([]byte{0xab}, 2048), uint8(1), uint8(8))
@@ -143,7 +144,7 @@ func FuzzSealBatch(f *testing.F) {
 		batchWire = append([]byte(nil), batchWire...)
 		var seqWire []byte
 		for _, p := range payloads {
-			w, err := seqSeal.sealOne(recordApplicationData, p)
+			w, err := seqSeal.SealBatch(recordApplicationData, [][]byte{p})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,7 +38,7 @@ func forgeRecord(t *testing.T, hc *halfConn, kind string) (frag []byte, wantPadO
 	// payload || MAC fills whole blocks, so the pad is one block of
 	// bytes valued bs and the record spans at least three blocks.
 	payload := make([]byte, 2*bs-hc.macLen%bs)
-	wire, err := hc.sealOne(recordApplicationData, payload)
+	wire, err := hc.SealBatch(recordApplicationData, [][]byte{payload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,8 @@ func TestPaddingFailureLooksLikeMACFailure(t *testing.T) {
 				if _, err := modes.Unpad(pt, s.BlockSize); (err == nil) != wantPadOK {
 					t.Fatalf("%s: padding valid = %v, want %v", kind, err == nil, wantPadOK)
 				}
-				if _, err := open.unprotect(recordApplicationData, frag); err != errBadRecordMAC {
-					t.Errorf("%s: unprotect error = %v, want %v", kind, err, errBadRecordMAC)
+				if _, err := open.OpenBatch(recordApplicationData, [][]byte{frag}); err != errBadRecordMAC {
+					t.Errorf("%s: open error = %v, want %v", kind, err, errBadRecordMAC)
 				}
 				if open.seq != 1 {
 					t.Errorf("%s: seq = %d after the failed open, want 1", kind, open.seq)

@@ -382,7 +382,7 @@ func TestEmptyRecordFlood(t *testing.T) {
 	} {
 		client, server, _ := handshakePair(t, clientConfig(t), serverConfig(t))
 		for i := 0; i < tc.empties; i++ {
-			if err := client.writeRecordOut(recordApplicationData, nil); err != nil {
+			if err := client.writeRecords(recordApplicationData, [][]byte{nil}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
