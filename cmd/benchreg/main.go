@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/obs/history"
 	"repro/internal/obs/journal"
@@ -139,7 +138,7 @@ func run(benchRe, benchtime, pkg string, count int) (*Snapshot, string, error) {
 	cmd.Stderr = &buf
 	runErr := cmd.Run()
 	snap := &Snapshot{
-		Date:        time.Now().UTC().Format("2006-01-02"),
+		Date:        history.Today(),
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,

@@ -24,8 +24,6 @@ func main() {
 	simulate := flag.Bool("simulate", true, "cross-check by driving a real chaos+ARQ link")
 	perPoint := flag.Int("n", 10, "transactions simulated per BER point")
 	seed := flag.Int64("seed", 1, "fault-schedule seed for the simulation")
-	arqPipeline := flag.Int("arq-pipeline", mobilesec.DefaultARQPipeline,
-		"ARQ transmit-pipeline depth for the simulation; output is identical at any depth, <0 disables")
 	csv := flag.Bool("csv", false, "emit the analytic figure as CSV and exit")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
 		"sweep worker count; output is identical at any value, 1 runs sequentially")
@@ -63,8 +61,7 @@ func main() {
 	fmt.Print(fig.Render())
 
 	if *simulate {
-		sim, err := mobilesec.SimulateLossFigure(*drop, axis, *seed, *perPoint,
-			mobilesec.LossSimOptions{ARQPipeline: *arqPipeline})
+		sim, err := mobilesec.SimulateLossFigure(*drop, axis, *seed, *perPoint)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lossfig: %v\n", err)
 			os.Exit(1)

@@ -23,8 +23,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/obs"
@@ -40,36 +40,37 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 
-func main() {
-	var profiles multiFlag
-	flag.Var(&profiles, "profile", "energy/cycle profile JSON to include (repeatable; multiple merge)")
-	metricsPath := flag.String("metrics", "", "metrics snapshot JSON to include")
-	var dtraces multiFlag
-	flag.Var(&dtraces, "dtrace", "distributed span trace JSONL to include (repeatable; client and server files merge into end-to-end traces)")
-	journalPath := flag.String("journal", "", "structured event journal JSONL to include (SLO alert table, per-layer counts)")
-	seriesPath := flag.String("series", "", "windowed metric time-series JSONL to render as a timeline panel")
-	historyPath := flag.String("history", "", "cross-run history JSONL to render trends from (e.g. bench/history.jsonl)")
-	htmlPath := flag.String("html", "", "write the self-contained HTML report here")
-	foldedPath := flag.String("folded", "", "write folded stacks (flamegraph.pl/speedscope input) here")
-	weight := flag.String("weight", "auto", "weight for folded/top views: cycles, energy or auto")
-	topN := flag.Int("top", 15, "rows in the top table")
-	title := flag.String("title", "mobilesec run report", "report title")
-	appendHistory := flag.Bool("append-history", false, "append this run's record to the -history file")
-	seed := flag.String("seed", "", "workload seed recorded in the history entry")
-	commit := flag.String("commit", "", "commit recorded in the history entry (default: git HEAD)")
-	flag.Parse()
+// topN is the row count of the stdout top tables, the same as the HTML
+// report's.
+const topN = 15
 
-	if err := run(profiles, dtraces, *metricsPath, *journalPath, *seriesPath, *historyPath, *htmlPath,
-		*foldedPath, *weight, *topN, *title, *appendHistory, *seed, *commit); err != nil {
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "msreport:", err)
 		os.Exit(1)
 	}
 }
 
-func run(profilePaths, dtracePaths []string, metricsPath, journalPath, seriesPath, historyPath, htmlPath,
-	foldedPath, weight string, topN int, title string, appendHistory bool, seed, commit string) error {
-	if len(profilePaths) == 0 && len(dtracePaths) == 0 && metricsPath == "" && journalPath == "" &&
-		seriesPath == "" && historyPath == "" {
+// run parses args, loads every input, writes the requested files and
+// prints the top table and dtrace summary to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("msreport", flag.ExitOnError)
+	var profilePaths multiFlag
+	fs.Var(&profilePaths, "profile", "energy/cycle profile JSON to include (repeatable; multiple merge)")
+	metricsPath := fs.String("metrics", "", "metrics snapshot JSON to include")
+	var dtracePaths multiFlag
+	fs.Var(&dtracePaths, "dtrace", "distributed span trace JSONL to include (repeatable; client and server files merge into end-to-end traces)")
+	journalPath := fs.String("journal", "", "structured event journal JSONL to include (SLO alert table, per-layer counts)")
+	seriesPath := fs.String("series", "", "windowed metric time-series JSONL to render as a timeline panel")
+	historyPath := fs.String("history", "", "cross-run history JSONL to render trends from (e.g. bench/history.jsonl)")
+	htmlPath := fs.String("html", "", "write the self-contained HTML report here")
+	foldedPath := fs.String("folded", "", "write folded stacks (flamegraph.pl/speedscope input) here")
+	weight := fs.String("weight", "auto", "weight for folded/top views: cycles, energy or auto")
+	title := fs.String("title", "mobilesec run report", "report title")
+	_ = fs.Parse(args)
+
+	if len(profilePaths) == 0 && len(dtracePaths) == 0 && *metricsPath == "" && *journalPath == "" &&
+		*seriesPath == "" && *historyPath == "" {
 		return fmt.Errorf("nothing to report: give at least one of -profile, -metrics, -dtrace, -journal, -series, -history")
 	}
 
@@ -87,14 +88,14 @@ func run(profilePaths, dtracePaths []string, metricsPath, journalPath, seriesPat
 	}
 
 	var snap *obs.Snapshot
-	if metricsPath != "" {
-		blob, err := os.ReadFile(metricsPath)
+	if *metricsPath != "" {
+		blob, err := os.ReadFile(*metricsPath)
 		if err != nil {
 			return err
 		}
 		snap = &obs.Snapshot{}
 		if err := json.Unmarshal(blob, snap); err != nil {
-			return fmt.Errorf("%s: %w", metricsPath, err)
+			return fmt.Errorf("%s: %w", *metricsPath, err)
 		}
 	}
 
@@ -116,70 +117,55 @@ func run(profilePaths, dtracePaths []string, metricsPath, journalPath, seriesPat
 
 	var jevents []journal.Event
 	jskipped := 0
-	if journalPath != "" {
+	if *journalPath != "" {
 		var err error
-		jevents, jskipped, err = journal.LoadFile(journalPath)
+		jevents, jskipped, err = journal.LoadFile(*journalPath)
 		if err != nil {
 			return err
 		}
 		if jskipped > 0 {
-			fmt.Fprintf(os.Stderr, "msreport: %s: skipped %d malformed journal line(s)\n", journalPath, jskipped)
+			fmt.Fprintf(os.Stderr, "msreport: %s: skipped %d malformed journal line(s)\n", *journalPath, jskipped)
 		}
 	}
 
 	var windows []obs.SeriesWindow
-	if seriesPath != "" {
+	if *seriesPath != "" {
 		var err error
-		windows, err = obs.ReadSeries(seriesPath)
+		windows, err = obs.ReadSeries(*seriesPath)
 		if err != nil {
-			return err
-		}
-	}
-
-	if appendHistory {
-		if historyPath == "" {
-			return fmt.Errorf("-append-history needs -history")
-		}
-		if merged == nil {
-			return fmt.Errorf("-append-history needs at least one -profile")
-		}
-		if commit == "" {
-			commit = history.Commit()
-		}
-		if err := history.AppendUnique(historyPath, historyRecord(merged, profilePaths, seed, commit)); err != nil {
 			return err
 		}
 	}
 
 	var records []history.Record
-	if historyPath != "" {
+	if *historyPath != "" {
 		var err error
 		var skipped int
-		records, skipped, err = history.Load(historyPath)
+		records, skipped, err = history.Load(*historyPath)
 		if err != nil {
 			return err
 		}
 		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "msreport: %s: skipped %d malformed history record(s)\n", historyPath, skipped)
+			fmt.Fprintf(os.Stderr, "msreport: %s: skipped %d malformed history record(s)\n", *historyPath, skipped)
 		}
 	}
 
 	by := prof.Cycles
 	if merged != nil {
 		var err error
-		by, err = prof.ParseWeight(weight, merged)
+		by, err = prof.ParseWeight(*weight, merged)
 		if err != nil {
 			return err
 		}
 	}
 
-	if htmlPath != "" {
-		f, err := os.Create(htmlPath)
+	if *htmlPath != "" {
+		f, err := os.Create(*htmlPath)
 		if err != nil {
 			return err
 		}
 		werr := report.HTML(f, report.Data{
-			Title:          title,
+			Title:          *title,
 			Profile:        merged,
 			Metrics:        snap,
 			Spans:          spans,
@@ -188,7 +174,6 @@ func run(profilePaths, dtracePaths []string, metricsPath, journalPath, seriesPat
 			JournalSkipped: jskipped,
 			Series:         windows,
 			History:        records,
-			TopN:           topN,
 		})
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
@@ -198,11 +183,11 @@ func run(profilePaths, dtracePaths []string, metricsPath, journalPath, seriesPat
 		}
 	}
 
-	if foldedPath != "" {
+	if *foldedPath != "" {
 		if merged == nil {
 			return fmt.Errorf("-folded needs at least one -profile")
 		}
-		f, err := os.Create(foldedPath)
+		f, err := os.Create(*foldedPath)
 		if err != nil {
 			return err
 		}
@@ -217,9 +202,9 @@ func run(profilePaths, dtracePaths []string, metricsPath, journalPath, seriesPat
 
 	if merged != nil {
 		cycles, uj := merged.Totals()
-		fmt.Printf("profile: %d frames, %d instr, %d µJ (top by %s)\n",
+		fmt.Fprintf(stdout, "profile: %d frames, %d instr, %d µJ (top by %s)\n",
 			len(merged.Frames), cycles, uj, by)
-		if err := merged.WriteTop(os.Stdout, by, topN); err != nil {
+		if err := merged.WriteTop(stdout, by, topN); err != nil {
 			return err
 		}
 	}
@@ -242,49 +227,12 @@ func run(profilePaths, dtracePaths []string, metricsPath, journalPath, seriesPat
 		// One greppable line for CI: traces reassembled, cross-process
 		// merges, and how much of each session's duration the named spans
 		// explain.
-		fmt.Printf("dtrace: traces=%d spans=%d merged=%d coverage_ge95=%d min_coverage=%.3f\n",
+		fmt.Fprintf(stdout, "dtrace: traces=%d spans=%d merged=%d coverage_ge95=%d min_coverage=%.3f\n",
 			len(trees), len(spans), nMerged, covered, minCov)
-		fmt.Println("critical path (self-time by span kind):")
+		fmt.Fprintln(stdout, "critical path (self-time by span kind):")
 		for _, e := range obs.CritTop(trees, topN) {
-			fmt.Printf("  %10d µs  %6d×  %s\n", e.SelfUS, e.Count, e.Key)
+			fmt.Fprintf(stdout, "  %10d µs  %6d×  %s\n", e.SelfUS, e.Count, e.Key)
 		}
 	}
 	return nil
-}
-
-// historyRecord summarizes the merged profile for the record book:
-// totals as headline figures plus per-top-level-frame energy.
-func historyRecord(p *prof.Profile, inputs []string, seed, commit string) history.Record {
-	cycles, uj := p.Totals()
-	layers := map[string]int64{}
-	for _, f := range p.Frames {
-		top := f.Path
-		if i := strings.IndexByte(top, '/'); i >= 0 {
-			top = top[:i]
-		}
-		layers[top] += f.EnergyUJ
-	}
-	for k, v := range layers {
-		if v == 0 {
-			delete(layers, k)
-		}
-	}
-	sorted := append([]string{}, inputs...)
-	sort.Strings(sorted)
-	r := history.Record{
-		Date:        history.Today(),
-		Source:      "msreport",
-		Commit:      commit,
-		GoVersion:   p.GoVersion,
-		Seed:        seed,
-		Fingerprint: history.Fingerprint(sorted...),
-		Headline: map[string]float64{
-			"profile_instr":     float64(cycles),
-			"profile_energy_uj": float64(uj),
-		},
-	}
-	if len(layers) > 0 {
-		r.LayerEnergyUJ = layers
-	}
-	return r
 }

@@ -1,13 +1,14 @@
 // Command mswatch follows a running tool's observability server (the
 // -pprof endpoint any cmd in this repo exposes) from another terminal:
-// it streams the /events SSE feed — journal events and SLO alerts — and
-// polls /progress for live sweep status, rendering both as plain lines
-// so it works over a pipe as well as a terminal.
+// it streams the /events SSE feed — journal events, ALERT lines for
+// fired SLO rules, and a rates line per metrics window — and polls
+// /progress for live sweep status, rendering both as plain lines so it
+// works over a pipe as well as a terminal.
 //
 // When the stream drops (the watched tool restarted, the network
 // blipped), mswatch reconnects with capped exponential backoff instead
 // of dying — the natural behavior for a monitor pointed at a gateway
-// that is itself being chaos-tested. It gives up after -reconnect
+// that is itself being chaos-tested. It gives up after maxFails
 // consecutive failures; exit status is 0 if it ever connected.
 //
 // Typical use:
@@ -29,12 +30,16 @@ import (
 	"repro/internal/obs/journal"
 )
 
+// progressEvery is the /progress poll period, and maxFails the
+// consecutive connection failures before mswatch gives up.
+const (
+	progressEvery = 500 * time.Millisecond
+	maxFails      = 10
+)
+
 func main() {
 	addr := flag.String("addr", "localhost:6060", "obs server address (host:port) of the tool to watch")
 	level := flag.String("level", "info", "minimum journal level to print: debug, info, warn or crit")
-	progEvery := flag.Duration("progress-interval", 500*time.Millisecond, "sweep progress poll period (0 disables)")
-	reconnect := flag.Int("reconnect", 10, "consecutive connection failures before giving up (0 = exit when the stream first ends)")
-	verbose := flag.Bool("v", false, "also print metric deltas and the connection handshake")
 	promOnce := flag.Bool("prom", false, "one-shot: fetch /metrics.prom, validate the exposition text, print a family summary, exit")
 	flag.Parse()
 
@@ -51,18 +56,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mswatch: -level: %v\n", err)
 		os.Exit(2)
 	}
-	v := &view{w: os.Stdout, min: min, verbose: *verbose}
+	v := &view{w: os.Stdout, min: min}
 
 	base := "http://" + *addr
 	stopProgress := make(chan struct{})
-	if *progEvery > 0 {
-		go pollProgress(base, *progEvery, v, stopProgress)
-	}
+	go pollProgress(base, progressEvery, v, stopProgress)
 
 	ever := streamLoop(
 		func() (io.ReadCloser, error) { return dialEvents(base) },
 		v.handle,
-		*reconnect,
+		maxFails,
 		backoff.Policy{Base: 200 * time.Millisecond, Max: 10 * time.Second, Seed: time.Now().UnixNano()},
 		nil,
 		func(msg string) { fmt.Fprintf(os.Stderr, "mswatch: %s\n", msg) },

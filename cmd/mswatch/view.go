@@ -56,11 +56,11 @@ func readSSE(r io.Reader, fn func(sseEvent)) error {
 
 // view renders the watched tool's event stream as terminal lines: one
 // line per journal event at or above the minimum level, ALERT lines for
-// fired SLO rules, and a refreshing sweep-progress line.
+// fired SLO rules, a rates line per metrics window, and a refreshing
+// sweep-progress line.
 type view struct {
-	w       io.Writer
-	min     journal.Level
-	verbose bool
+	w   io.Writer
+	min journal.Level
 
 	lastProgress string
 	intervalMS   float64 // metric push period from the hello frame
@@ -83,9 +83,6 @@ func (v *view) handle(ev sseEvent) {
 		}
 		v.trackSlow(e)
 	case "metrics":
-		if v.verbose {
-			fmt.Fprintf(v.w, "metrics %s\n", ev.data)
-		}
 		if line := v.formatRates(ev.data); line != "" {
 			fmt.Fprintln(v.w, line)
 		}
@@ -96,9 +93,6 @@ func (v *view) handle(ev sseEvent) {
 		if json.Unmarshal([]byte(ev.data), &h) == nil && h.IntervalMS > 0 {
 			v.intervalMS = h.IntervalMS
 		}
-		if v.verbose {
-			fmt.Fprintf(v.w, "connected %s\n", ev.data)
-		}
 	}
 }
 
@@ -106,17 +100,13 @@ func (v *view) handle(ev sseEvent) {
 // collapse into a "+N more" suffix so a busy gateway stays readable.
 const maxRateEntries = 6
 
-// formatRates turns one metrics delta frame into a live rates line:
-// counter deltas scaled to per-second by the push interval from the
-// hello frame, gauges at their current value. Entries render in sorted
-// name order, counters first.
+// formatRates turns one metrics window into a live rates line: counter
+// deltas scaled to per-second by the push interval from the hello
+// frame, then gauges at their current value, each in the window's
+// sorted-name order.
 func (v *view) formatRates(data string) string {
-	var d struct {
-		Counters  map[string]int64   `json:"counters"`
-		Gauges    map[string]float64 `json:"gauges"`
-		Truncated int                `json:"truncated"`
-	}
-	if err := json.Unmarshal([]byte(data), &d); err != nil {
+	var w obs.SeriesWindow
+	if err := json.Unmarshal([]byte(data), &w); err != nil {
 		return ""
 	}
 	perSec := 1.0
@@ -124,34 +114,20 @@ func (v *view) formatRates(data string) string {
 		perSec = 1000 / v.intervalMS
 	}
 	var entries []string
-	for _, name := range sortedKeys(d.Counters) {
-		entries = append(entries, fmt.Sprintf("%s %.3g/s", name, float64(d.Counters[name])*perSec))
+	for _, c := range w.Counters {
+		entries = append(entries, fmt.Sprintf("%s %.3g/s", c.Name, float64(c.Value)*perSec))
 	}
-	for _, name := range sortedKeys(d.Gauges) {
-		entries = append(entries, fmt.Sprintf("%s=%g", name, d.Gauges[name]))
+	for _, g := range w.Gauges {
+		entries = append(entries, fmt.Sprintf("%s=%g", g.Name, g.Value))
 	}
 	if len(entries) == 0 {
 		return ""
 	}
-	extra := d.Truncated
-	if len(entries) > maxRateEntries {
-		extra += len(entries) - maxRateEntries
-		entries = entries[:maxRateEntries]
-	}
-	line := "rates: " + strings.Join(entries, ", ")
-	if extra > 0 {
+	line := "rates: " + strings.Join(entries[:min(len(entries), maxRateEntries)], ", ")
+	if extra := len(entries) - maxRateEntries; extra > 0 {
 		line += fmt.Sprintf(" (+%d more)", extra)
 	}
 	return line
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // formatJournal renders one journal event, or "" when it is below the

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/obs/journal"
 )
 
@@ -11,7 +13,7 @@ func TestReadSSE(t *testing.T) {
 	stream := "event: hello\ndata: {\"metric_interval_ms\":1000}\n\n" +
 		": keep-alive comment\n" +
 		"event: journal\ndata: {\"t_sim\":3,\"level\":\"warn\",\"layer\":\"wep\",\"event\":\"icv_failure\"}\n\n" +
-		"event: metrics\ndata: {\"counters\":{\"arq.retransmits\":2},\"gauges\":{}}\n\n"
+		"event: metrics\ndata: {\"i\":0,\"t\":1000,\"counters\":[{\"name\":\"arq.retransmits\",\"value\":2}]}\n\n"
 	var got []sseEvent
 	if err := readSSE(strings.NewReader(stream), func(ev sseEvent) { got = append(got, ev) }); err != nil {
 		t.Fatalf("readSSE: %v", err)
@@ -67,37 +69,50 @@ func TestViewJournalFormatting(t *testing.T) {
 	}
 }
 
-// TestViewMetricsRates pins the live Δ/s line: counter deltas scale by
-// the hello frame's push interval, entries are name-sorted with
-// counters first, and overflow collapses into "+N more".
+// TestViewMetricsRates pins the live Δ/s line over a metrics window:
+// counter deltas scale by the hello frame's push interval, entries keep
+// the window's name order with counters first, and overflow collapses
+// into "+N more".
 func TestViewMetricsRates(t *testing.T) {
+	frame := func(w obs.SeriesWindow) sseEvent {
+		blob, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sseEvent{name: "metrics", data: string(blob)}
+	}
 	var sb strings.Builder
 	v := &view{w: &sb, min: journal.LevelInfo}
 	v.handle(sseEvent{name: "hello", data: `{"metric_interval_ms":500}`})
-	v.handle(sseEvent{name: "metrics",
-		data: `{"counters":{"wtls.records":40,"arq.retx":3},"gauges":{"gw.active":5}}`})
+	v.handle(frame(obs.SeriesWindow{I: 3, T: 1500,
+		Counters: []obs.CounterValue{{Name: "arq.retx", Value: 3}, {Name: "wtls.records", Value: 40}},
+		Gauges:   []obs.GaugeValue{{Name: "gw.active", Value: 5}},
+	}))
 	out := sb.String()
-	if !strings.Contains(out, "rates: arq.retx 6/s, wtls.records 80/s, gw.active=5") {
+	if !strings.Contains(out, "rates: arq.retx 6/s, wtls.records 80/s, gw.active=5\n") {
 		t.Errorf("rates line missing or misordered:\n%s", out)
 	}
 
-	// Overflow: 7 counters at cap 6, plus 2 server-side truncations.
+	// Overflow: 7 counters at cap 6.
 	sb.Reset()
-	v.handle(sseEvent{name: "metrics",
-		data: `{"counters":{"a":1,"b":1,"c":1,"d":1,"e":1,"f":1,"g":1},"truncated":2}`})
+	var many obs.SeriesWindow
+	for _, name := range []string{"a", "b", "c", "d", "e", "f", "g"} {
+		many.Counters = append(many.Counters, obs.CounterValue{Name: name, Value: 1})
+	}
+	v.handle(frame(many))
 	out = sb.String()
-	if !strings.Contains(out, "(+3 more)") {
-		t.Errorf("overflow suffix missing (want +3: 1 local + 2 server):\n%s", out)
+	if !strings.Contains(out, "f 2/s (+1 more)") {
+		t.Errorf("overflow suffix missing:\n%s", out)
 	}
 	if strings.Contains(out, "g 2/s") {
 		t.Errorf("entry past the cap rendered:\n%s", out)
 	}
 
-	// Empty delta frame: no line.
+	// A window with nothing to show: no line.
 	sb.Reset()
-	v.handle(sseEvent{name: "metrics", data: `{"counters":{},"gauges":{}}`})
+	v.handle(frame(obs.SeriesWindow{I: 9, T: 4500}))
 	if sb.Len() != 0 {
-		t.Errorf("empty metrics frame produced output: %q", sb.String())
+		t.Errorf("empty metrics window produced output: %q", sb.String())
 	}
 }
 

@@ -81,15 +81,6 @@ type Config struct {
 	// the link is declared down (default 10).
 	MaxRetries int
 
-	// Pipeline, when > 0, stages first transmissions through a bounded
-	// queue of this depth drained by a dedicated transmit goroutine, so
-	// the upper layer's crypto for frame k overlaps the (simulated)
-	// radio transmit of frame k-1. The single consumer preserves FIFO
-	// frame order, so seeded fault schedules — and with them the figure
-	// outputs — are unchanged. 0 (the default) transmits synchronously
-	// from Write.
-	Pipeline int
-
 	// OnTransmit, when set, observes every frame put on the wire: its
 	// length in bytes (ARQ header and CRC included) and whether it is a
 	// retransmission. Acks report retransmit=false.
@@ -169,13 +160,6 @@ type Endpoint struct {
 
 	ackCh chan struct{} // cap-1 wakeup for the sending side
 
-	// Two-stage transmit pipeline (nil when Config.Pipeline == 0): Write
-	// enqueues encoded DATA frames, txLoop drains them onto the wire.
-	// Transmit errors surface through fail/err like synchronous ones.
-	txq    chan []byte
-	txQuit chan struct{}
-	txOnce sync.Once
-
 	// tparent, when set, is the distributed-trace span under which this
 	// endpoint records its repair work (retransmit frames, backoff
 	// waits). Nil — the default — costs one atomic load per site.
@@ -196,44 +180,8 @@ func New(lower io.ReadWriter, cfg Config) (*Endpoint, error) {
 	}
 	e := &Endpoint{lower: lower, cfg: cfg.withDefaults(), ackCh: make(chan struct{}, 1)}
 	e.readable = sync.NewCond(&e.mu)
-	if e.cfg.Pipeline > 0 {
-		e.txq = make(chan []byte, e.cfg.Pipeline)
-		e.txQuit = make(chan struct{})
-		go e.txLoop()
-	}
 	go e.recvLoop()
 	return e, nil
-}
-
-// txLoop is the second pipeline stage: the sole consumer of the transmit
-// queue, so frames reach the wire in exactly the order Write produced
-// them. A transmit error is recorded by transmit itself (fail); the loop
-// keeps draining so enqueuers never block against a dead link.
-func (e *Endpoint) txLoop() {
-	for {
-		select {
-		case f := <-e.txq:
-			_ = e.transmit(f, false)
-		case <-e.txQuit:
-			return
-		}
-	}
-}
-
-// send puts a first-transmission DATA frame on the wire: staged through
-// the pipeline when one is configured, synchronously otherwise. In the
-// pipelined case errors surface asynchronously via the endpoint error,
-// which the sender's awaitAck observes.
-func (e *Endpoint) send(frame []byte) error {
-	if e.txq == nil {
-		return e.transmit(frame, false)
-	}
-	select {
-	case e.txq <- frame:
-		return nil
-	case <-e.txQuit:
-		return io.ErrClosedPipe
-	}
 }
 
 // recvLoop drains the lower transport, dispatching acks to the sender and
@@ -486,7 +434,7 @@ func (e *Endpoint) Write(p []byte) (int, error) {
 		e.stats.PayloadOut += n
 		e.mu.Unlock()
 		mDataSent.Inc()
-		if err := e.send(frame); err != nil {
+		if err := e.transmit(frame, false); err != nil {
 			return total, err
 		}
 		total += n
@@ -530,9 +478,6 @@ func (e *Endpoint) Close() error {
 	e.readable.Broadcast()
 	e.mu.Unlock()
 	e.wakeSender()
-	if e.txQuit != nil {
-		e.txOnce.Do(func() { close(e.txQuit) })
-	}
 	if c, ok := e.lower.(io.Closer); ok {
 		return c.Close()
 	}

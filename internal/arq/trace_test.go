@@ -17,6 +17,9 @@ import (
 // ACK-timeout waits — as events under the session's span, so the
 // critical-path analyzer can weigh radio time against crypto time.
 func TestTraceEventsOnLossyLink(t *testing.T) {
+	// The trace ID is deterministic: drop spans a previous run
+	// (-count=N) left in the shared ring.
+	obs.DefaultDTracer.Reset()
 	obs.DefaultDTracer.SetEnabled(true)
 	obs.DefaultDTracer.SetProc("arq-test")
 	obs.DefaultDTracer.SetSampleN(1)

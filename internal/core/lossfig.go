@@ -54,22 +54,6 @@ const lossMaxRetries = 25
 // clean channel up past the point where ARQ gives up.
 var DefaultLossBERs = []float64{0, 1e-5, 1e-4, 5e-4, 1e-3, 5e-3}
 
-// DefaultARQPipeline is the simulated endpoints' transmit-pipeline depth:
-// frame k's crypto/framing overlaps frame k-1's radio transmit. Depth 2
-// keeps one frame in flight behind the one being prepared; the single
-// transmit goroutine preserves wire order, so per-seed fault schedules —
-// and therefore figure outputs — are unchanged from the synchronous path.
-const DefaultARQPipeline = 2
-
-// LossSimOptions tunes SimulateLossFigure's simulated endpoints without
-// touching the analytic model.
-type LossSimOptions struct {
-	// ARQPipeline is the transmit-pipeline depth for both simulated
-	// endpoints; < 0 forces the synchronous (unpipelined) path, 0 means
-	// DefaultARQPipeline.
-	ARQPipeline int
-}
-
 // LossPoint is one column of the loss figure.
 type LossPoint struct {
 	BER            float64
@@ -199,18 +183,7 @@ func ComputeLossFigure(drop float64, bers []float64) (*LossFigure, error) {
 // "radio-tx", "radio-rx" or "radio-retx"; perPoint transactions are
 // simulated per BER and the battery total extrapolated. The seed fixes
 // the fault schedule.
-func SimulateLossFigure(drop float64, bers []float64, seed int64, perPoint int, opts ...LossSimOptions) (*LossFigure, error) {
-	var opt LossSimOptions
-	if len(opts) > 0 {
-		opt = opts[0]
-	}
-	pipeline := opt.ARQPipeline
-	switch {
-	case pipeline == 0:
-		pipeline = DefaultARQPipeline
-	case pipeline < 0:
-		pipeline = 0 // synchronous transmit
-	}
+func SimulateLossFigure(drop float64, bers []float64, seed int64, perPoint int) (*LossFigure, error) {
 	if drop < 0 || drop >= 1 {
 		return nil, fmt.Errorf("core: drop rate %v outside [0,1)", drop)
 	}
@@ -241,7 +214,7 @@ func SimulateLossFigure(drop float64, bers []float64, seed int64, perPoint int, 
 			// Each point is its own root: a Child of sp would take its
 			// ordinal from worker scheduling order.
 			psp := obs.DefaultDTracer.Root(obs.TraceID(seed, int64(i)), "core", "loss_point")
-			pt, tx, rx, retx, err := simulateLossPoint(drop, ber, seed+int64(i)*7919, perPoint, pipeline)
+			pt, tx, rx, retx, err := simulateLossPoint(drop, ber, seed+int64(i)*7919, perPoint)
 			psp.End()
 			if err != nil {
 				return lossCol{}, err
@@ -272,7 +245,7 @@ func SimulateLossFigure(drop float64, bers []float64, seed int64, perPoint int, 
 	return fig, nil
 }
 
-func simulateLossPoint(drop, ber float64, seed int64, perPoint, pipeline int) (*LossPoint, float64, float64, float64, error) {
+func simulateLossPoint(drop, ber float64, seed int64, perPoint int) (*LossPoint, float64, float64, float64, error) {
 	devLink, gwLink := stack.Pipe()
 	devFT, err := chaos.New(devLink, chaos.Config{Seed: seed, Drop: drop, BER: ber})
 	if err != nil {
@@ -295,7 +268,7 @@ func simulateLossPoint(drop, ber float64, seed int64, perPoint, pipeline int) (*
 	var radMu sync.Mutex
 	acfg := arq.Config{
 		Window: 1, RetransmitTimeout: 2 * time.Millisecond,
-		Backoff: 1, MaxRetries: lossMaxRetries, Pipeline: pipeline,
+		Backoff: 1, MaxRetries: lossMaxRetries,
 		OnTransmit: func(n int, retransmit bool) {
 			radMu.Lock()
 			j := rad.Transmit(n)
@@ -320,7 +293,7 @@ func simulateLossPoint(drop, ber float64, seed int64, perPoint, pipeline int) (*
 	defer dev.Close()
 	gw, err := arq.New(gwFT, arq.Config{
 		Window: 1, RetransmitTimeout: 2 * time.Millisecond,
-		Backoff: 1, MaxRetries: lossMaxRetries, Pipeline: pipeline,
+		Backoff: 1, MaxRetries: lossMaxRetries,
 	})
 	if err != nil {
 		return nil, 0, 0, 0, err

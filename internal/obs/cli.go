@@ -195,12 +195,7 @@ func (c *CLI) Activate() error {
 		s.set(true)
 	}
 	if c.pprofAddr != "" {
-		cfg := ServerConfig{Registry: Default, Journal: journal.Default}
-		if c.engine != nil {
-			eng := c.engine
-			cfg.Alerts = func() []byte { return slo.MarshalFirings(eng.Firings()) }
-		}
-		addr, shutdown, err := ServeConfig(c.pprofAddr, cfg)
+		addr, shutdown, err := ServeConfig(c.pprofAddr, ServerConfig{Registry: Default, Journal: journal.Default})
 		if err != nil {
 			return fail(err)
 		}

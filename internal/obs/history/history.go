@@ -1,16 +1,15 @@
 // Package history is the cross-run record book: an append-only JSONL
 // file (one JSON object per line, conventionally bench/history.jsonl)
-// that benchreg and msreport add a Record to after each run. It ties
-// every headline figure back to the commit, Go toolchain, seed and
-// configuration that produced it, so a regression spotted in a trend
-// table is immediately attributable.
+// that benchreg adds a Record to after each run and msreport -history
+// renders as trend tables. It ties every headline figure back to the
+// commit, Go toolchain, seed and configuration that produced it, so a
+// regression spotted in a trend table is immediately attributable.
 package history
 
 import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -19,16 +18,11 @@ import (
 	"time"
 )
 
-// ErrDuplicate reports an AppendUnique refused because the history
-// already holds a record for the same (commit, fingerprint) pair.
-var ErrDuplicate = errors.New("history: record for this commit and configuration already exists")
-
 // Record is one run's entry in the history file.
 type Record struct {
 	// Date is the run's UTC date (YYYY-MM-DD).
 	Date string `json:"date"`
-	// Source names the tool that appended the record (benchreg,
-	// msreport, ...).
+	// Source names the tool that appended the record (benchreg).
 	Source string `json:"source"`
 	// Commit is the repository HEAD at run time ("unknown" outside a
 	// git checkout).
@@ -44,12 +38,9 @@ type Record struct {
 	// Fingerprint), so records from different setups never get
 	// compared as a trend.
 	Fingerprint string `json:"config_fingerprint,omitempty"`
-	// Headline holds the run's named figures (benchmark ns/op, total
-	// modeled energy, gap fractions, ...).
+	// Headline holds the run's named figures (benchmark ns/op, SLO
+	// firings, ...).
 	Headline map[string]float64 `json:"headline,omitempty"`
-	// LayerEnergyUJ attributes the run's modeled energy per top-level
-	// profile frame.
-	LayerEnergyUJ map[string]int64 `json:"layer_energy_uj,omitempty"`
 }
 
 // Fingerprint digests the given configuration strings into a short,
@@ -130,25 +121,4 @@ func Load(path string) ([]Record, int, error) {
 		out = append(out, r)
 	}
 	return out, skipped, sc.Err()
-}
-
-// AppendUnique appends r unless the history already holds a record with
-// the same (Commit, Fingerprint) pair, in which case it returns
-// ErrDuplicate. Re-running a report on an unchanged checkout therefore
-// cannot inflate the trend tables with identical points. Records with an
-// unknown commit are exempt — outside a git checkout every run would
-// collide.
-func AppendUnique(path string, r Record) error {
-	if r.Commit != "" && r.Commit != "unknown" {
-		existing, _, err := Load(path)
-		if err != nil {
-			return err
-		}
-		for _, e := range existing {
-			if e.Commit == r.Commit && e.Fingerprint == r.Fingerprint {
-				return fmt.Errorf("%w (commit %s, config %s)", ErrDuplicate, r.Commit, r.Fingerprint)
-			}
-		}
-	}
-	return Append(path, r)
 }

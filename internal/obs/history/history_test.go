@@ -1,7 +1,6 @@
 package history
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,9 +14,9 @@ func TestAppendLoadRoundTrip(t *testing.T) {
 		Headline: map[string]float64{"RC4_ns_per_op": 12.5},
 	}
 	r2 := Record{
-		Date: "2026-08-06", Source: "msreport", Commit: "abc1234",
-		GoVersion: "go1.22", Seed: "fig4",
-		LayerEnergyUJ: map[string]int64{"core.BatteryFigure": 26_000_000_000},
+		Date: "2026-08-07", Source: "benchreg", Commit: "def5678",
+		GoVersion: "go1.22", NumCPU: 4, Seed: "fig4",
+		Headline: map[string]float64{"slo_fired": 0},
 	}
 	if err := Append(path, r1); err != nil {
 		t.Fatal(err)
@@ -35,7 +34,7 @@ func TestAppendLoadRoundTrip(t *testing.T) {
 	if got[0].Source != "benchreg" || got[0].Headline["RC4_ns_per_op"] != 12.5 {
 		t.Fatalf("record 0 = %+v", got[0])
 	}
-	if got[1].Seed != "fig4" || got[1].LayerEnergyUJ["core.BatteryFigure"] != 26_000_000_000 {
+	if got[1].Seed != "fig4" || got[1].NumCPU != 4 || got[1].Headline["slo_fired"] != 0 {
 		t.Fatalf("record 1 = %+v", got[1])
 	}
 }
@@ -69,42 +68,6 @@ this line is not JSON
 	// date, missing source); the blank line is not counted.
 	if skipped != 3 {
 		t.Fatalf("skipped = %d, want 3", skipped)
-	}
-}
-
-func TestAppendUniqueRefusesDuplicates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "history.jsonl")
-	r := Record{
-		Date: "2026-08-06", Source: "msreport", Commit: "abc1234",
-		Fingerprint: Fingerprint("fig4"),
-	}
-	if err := AppendUnique(path, r); err != nil {
-		t.Fatalf("first append: %v", err)
-	}
-	err := AppendUnique(path, r)
-	if !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("second append err = %v, want ErrDuplicate", err)
-	}
-	// Same commit, different configuration: allowed.
-	r2 := r
-	r2.Fingerprint = Fingerprint("fig7")
-	if err := AppendUnique(path, r2); err != nil {
-		t.Fatalf("distinct-config append: %v", err)
-	}
-	// Unknown commit (outside a git checkout): dedup disabled.
-	r3 := Record{Date: "2026-08-06", Source: "msreport", Commit: "unknown"}
-	if err := AppendUnique(path, r3); err != nil {
-		t.Fatalf("unknown-commit append 1: %v", err)
-	}
-	if err := AppendUnique(path, r3); err != nil {
-		t.Fatalf("unknown-commit append 2: %v", err)
-	}
-	got, _, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("history has %d records, want 4", len(got))
 	}
 }
 

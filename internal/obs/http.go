@@ -8,8 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs/journal"
@@ -20,9 +18,8 @@ import (
 type ServerConfig struct {
 	Registry *Registry
 	Journal  *journal.Journal // /events streams this journal's emissions
-	Alerts   func() []byte    // /alerts payload (fired SLO rules as JSON)
 
-	// MetricsInterval is the /events metric-delta period (default 1s).
+	// MetricsInterval is the /events metrics window period (default 1s).
 	MetricsInterval time.Duration
 }
 
@@ -31,10 +28,9 @@ type ServerConfig struct {
 //	/debug/pprof/...   the standard pprof profiles
 //	/debug/vars        expvar (cmdline, memstats)
 //	/metrics           the registry snapshot as JSON
-//	/events            SSE stream of journal events + periodic metric deltas
+//	/events            SSE stream of journal events + periodic metric windows
 //	/progress          the registered progress source's live state
 //	                   (see SetProgressSource); 404 until one registers
-//	/alerts            fired SLO rules as JSON
 //
 // It returns the bound address (useful with ":0") and a shutdown
 // function. Shutdown closes the listener and unblocks in-flight
@@ -77,14 +73,6 @@ func ServeConfig(addr string, cfg ServerConfig) (string, func() error, error) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(progress())
 	})
-	mux.HandleFunc("/alerts", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if cfg.Alerts == nil {
-			_, _ = w.Write([]byte("[]\n"))
-			return
-		}
-		_, _ = w.Write(cfg.Alerts())
-	})
 	mux.HandleFunc("/events", sseHandler(cfg, done))
 	srv := &http.Server{Handler: mux}
 	go func() { _ = srv.Serve(ln) }()
@@ -97,18 +85,22 @@ func ServeConfig(addr string, cfg ServerConfig) (string, func() error, error) {
 	return ln.Addr().String(), shutdown, nil
 }
 
-// sseHandler streams journal events and periodic metric deltas as
+// sseHandler streams journal events and periodic metric windows as
 // Server-Sent Events:
 //
 //	event: journal
 //	data: {"t_sim":3,"level":"warn","layer":"wep","event":"icv_failure"}
 //
 //	event: metrics
-//	data: {"counters":{"arq.retransmits":2},"gauges":{...}}
+//	data: {"i":4,"t":5002,"counters":[{"name":"arq.retransmits","value":2}],...}
 //
-// Journal events arrive in live emission order (wall clock), unlike the
-// deterministic (t_sim, seq) merge of the -journal file. The handler
-// returns when the client disconnects or the server shuts down.
+// A metrics frame is the SeriesWindow between two ticks, in the shape
+// of a -series line: I counts ticks since the stream opened and T is
+// wall-clock milliseconds since then. Ticks where no counter moved and
+// no histogram saw samples send nothing. Journal events arrive in live
+// emission order (wall clock), unlike the deterministic (t_sim, seq)
+// merge of the -journal file. The handler returns when the client
+// disconnects or the server shuts down.
 func sseHandler(cfg ServerConfig, done <-chan struct{}) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		fl, ok := w.(http.Flusher)
@@ -126,17 +118,21 @@ func sseHandler(cfg ServerConfig, done <-chan struct{}) http.HandlerFunc {
 			defer cancel()
 			evCh = ch
 		}
+		// The baseline precedes hello, so a client that has read hello
+		// sees every later change in some window.
+		start := time.Now()
+		var prev Snapshot
+		if cfg.Registry != nil {
+			prev = cfg.Registry.Snapshot()
+		}
 		fmt.Fprintf(w, "event: hello\ndata: {\"metric_interval_ms\":%d}\n\n",
 			cfg.MetricsInterval.Milliseconds())
 		fl.Flush()
 
 		tick := time.NewTicker(cfg.MetricsInterval)
 		defer tick.Stop()
-		var prev Snapshot
-		if cfg.Registry != nil {
-			prev = cfg.Registry.Snapshot()
-		}
 		var buf []byte
+		var n int64 // ticks so far: the next window's I
 		for {
 			select {
 			case <-done:
@@ -156,63 +152,20 @@ func sseHandler(cfg ServerConfig, done <-chan struct{}) http.HandlerFunc {
 					continue
 				}
 				cur := cfg.Registry.Snapshot()
-				if delta := metricDelta(prev, cur); delta != "" {
-					fmt.Fprintf(w, "event: metrics\ndata: %s\n\n", delta)
-					fl.Flush()
-				}
+				win := seriesDiff(&prev, &cur)
 				prev = cur
+				win.I, win.T = n, time.Since(start).Milliseconds()
+				n++
+				if len(win.Counters) == 0 && len(win.Histograms) == 0 {
+					continue
+				}
+				blob, err := json.Marshal(win)
+				if err != nil {
+					continue
+				}
+				fmt.Fprintf(w, "event: metrics\ndata: %s\n\n", blob)
+				fl.Flush()
 			}
 		}
 	}
-}
-
-// maxDeltaEntries bounds one SSE metrics payload: at most this many
-// changed metrics (counters first, then gauges, each in sorted-name
-// order) are rendered; the rest are summarized in a "truncated" count
-// so a huge registry cannot wedge slow subscribers with megabyte
-// events.
-const maxDeltaEntries = 256
-
-// metricDelta renders the counters that moved (as increments) and the
-// gauges that changed (as values) between two snapshots, in snapshot
-// (sorted-name) order; "" when nothing changed. Output is capped at
-// maxDeltaEntries entries; when the cap bites, the payload carries a
-// "truncated" field with the number of changed metrics dropped.
-func metricDelta(prev, cur Snapshot) string {
-	pc := make(map[string]int64, len(prev.Counters))
-	for _, c := range prev.Counters {
-		pc[c.Name] = c.Value
-	}
-	pg := make(map[string]float64, len(prev.Gauges))
-	for _, g := range prev.Gauges {
-		pg[g.Name] = g.Value
-	}
-	var cs, gs []string
-	truncated := 0
-	for _, c := range cur.Counters {
-		if d := c.Value - pc[c.Name]; d != 0 {
-			if len(cs) >= maxDeltaEntries {
-				truncated++
-				continue
-			}
-			cs = append(cs, strconv.Quote(c.Name)+":"+strconv.FormatInt(d, 10))
-		}
-	}
-	for _, g := range cur.Gauges {
-		if g.Value != pg[g.Name] {
-			if len(cs)+len(gs) >= maxDeltaEntries {
-				truncated++
-				continue
-			}
-			gs = append(gs, strconv.Quote(g.Name)+":"+strconv.FormatFloat(g.Value, 'g', -1, 64))
-		}
-	}
-	if len(cs) == 0 && len(gs) == 0 && truncated == 0 {
-		return ""
-	}
-	out := `{"counters":{` + strings.Join(cs, ",") + `},"gauges":{` + strings.Join(gs, ",") + `}`
-	if truncated > 0 {
-		out += `,"truncated":` + strconv.Itoa(truncated)
-	}
-	return out + `}`
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -125,6 +126,63 @@ func TestServeEventsStream(t *testing.T) {
 	presp.Body.Close()
 	if !strings.Contains(string(body), `"done":3`) {
 		t.Fatalf("/progress = %s", body)
+	}
+}
+
+// TestServeEventsMetricsWindow drives /events through one counter
+// increment: the metrics frame decodes as a SeriesWindow equal to
+// seriesDiff over the snapshots before and after it, and ticks where
+// nothing moved send no frame.
+func TestServeEventsMetricsWindow(t *testing.T) {
+	r := NewRegistry()
+	r.SetEnabled(true)
+	hits := r.Counter("hits")
+	r.Gauge("active").Set(2)
+	j := journal.New(16)
+	j.SetEnabled(true)
+	addr, shutdown, err := ServeConfig("127.0.0.1:0", ServerConfig{
+		Registry:        r,
+		Journal:         j,
+		MetricsInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+
+	before := r.Snapshot()
+	resp, err := http.Get("http://" + addr + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	if name, _ := readSSEFrame(t, br); name != "hello" {
+		t.Fatalf("first frame = %q, want hello", name)
+	}
+
+	hits.Inc()
+	after := r.Snapshot()
+	name, data := readSSEFrame(t, br)
+	if name != "metrics" {
+		t.Fatalf("frame after the increment = %q %q, want metrics", name, data)
+	}
+	var got SeriesWindow
+	if err := json.Unmarshal([]byte(data), &got); err != nil {
+		t.Fatalf("metrics frame is not a SeriesWindow: %v\n%s", err, data)
+	}
+	want := seriesDiff(&before, &after)
+	want.I, want.T = got.I, got.T
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("metrics frame = %+v, want %+v", got, want)
+	}
+
+	// Idle ticks send nothing: the next frame is the journal event
+	// emitted several intervals later.
+	time.Sleep(50 * time.Millisecond)
+	j.Emit(1, journal.LevelInfo, "test", "after_idle")
+	if name, data := readSSEFrame(t, br); name != "journal" {
+		t.Fatalf("frame after idle ticks = %q %q, want journal", name, data)
 	}
 }
 

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestSnapshotLookupSelectors pins the aggregator-selector contract the
 // SLO engine evaluates rules through: counters and gauges answer only
@@ -89,52 +85,5 @@ func TestSnapshotQuantiles(t *testing.T) {
 	hv := snap.Histograms[0]
 	if hv.P50 != 10 || hv.P95 != 100 || hv.P99 != 100 {
 		t.Fatalf("quantiles = p50=%d p95=%d p99=%d, want 10/100/100", hv.P50, hv.P95, hv.P99)
-	}
-}
-
-func TestMetricDeltaSortedAndCapped(t *testing.T) {
-	reg := NewRegistry()
-	reg.SetEnabled(true)
-	prev := reg.Snapshot()
-	// 300 moved counters + 60 changed gauges: over the 256-entry cap.
-	for i := 0; i < 300; i++ {
-		reg.Counter(fmt.Sprintf("c.%03d", i)).Add(int64(i + 1))
-	}
-	for i := 0; i < 60; i++ {
-		reg.Gauge(fmt.Sprintf("g.%02d", i)).Set(float64(i + 1))
-	}
-	cur := reg.Snapshot()
-
-	delta := metricDelta(prev, cur)
-	if n := strings.Count(delta, `"c.`) + strings.Count(delta, `"g.`); n != maxDeltaEntries {
-		t.Fatalf("payload has %d entries, want cap %d", n, maxDeltaEntries)
-	}
-	if !strings.Contains(delta, `"truncated":104`) {
-		t.Fatalf("payload missing truncated count (want 360-256=104): %s", delta[len(delta)-80:])
-	}
-	// Entries are emitted in sorted-name order, so the payload itself is
-	// deterministic: the first counter and the cap boundary are fixed.
-	if !strings.Contains(delta, `"c.000":1`) {
-		t.Fatalf("first sorted counter missing: %.120s", delta)
-	}
-	if strings.Contains(delta, `"c.299"`) {
-		t.Fatal("entry past the cap leaked into the payload")
-	}
-	if metricDelta(cur, cur) != "" {
-		t.Fatal("unchanged snapshot should render empty delta")
-	}
-
-	// Under the cap: no truncated field, gauges included.
-	reg2 := NewRegistry()
-	reg2.SetEnabled(true)
-	p2 := reg2.Snapshot()
-	reg2.Counter("b").Add(2)
-	reg2.Counter("a").Add(1)
-	reg2.Gauge("z").Set(9)
-	c2 := reg2.Snapshot()
-	got := metricDelta(p2, c2)
-	want := `{"counters":{"a":1,"b":2},"gauges":{"z":9}}`
-	if got != want {
-		t.Fatalf("delta = %s, want %s", got, want)
 	}
 }

@@ -39,14 +39,13 @@ type Data struct {
 	// the timeline panel shades windows where an SLO rule fired.
 	Series  []obs.SeriesWindow
 	History []history.Record
-	TopN    int // rows per top table (default 15)
 }
+
+// topN is the row count of every top table.
+const topN = 15
 
 // HTML writes the full report document.
 func HTML(w io.Writer, d Data) error {
-	if d.TopN <= 0 {
-		d.TopN = 15
-	}
 	title := d.Title
 	if title == "" {
 		title = "mobilesec run report"
@@ -58,13 +57,13 @@ func HTML(w io.Writer, d Data) error {
 	fmt.Fprintf(&b, "<h1>%s</h1>\n", html.EscapeString(title))
 
 	if d.Profile != nil {
-		writeProfileSection(&b, d.Profile, d.TopN)
+		writeProfileSection(&b, d.Profile)
 	}
 	if d.Metrics != nil {
 		writeMetricsSection(&b, d.Metrics)
 	}
 	if len(d.Spans) > 0 || d.SpansSkipped > 0 {
-		writeSpanSection(&b, d.Spans, d.SpansSkipped, d.TopN)
+		writeSpanSection(&b, d.Spans, d.SpansSkipped)
 	}
 	if len(d.Series) > 0 {
 		writeSeriesSection(&b, d.Series, d.Journal)
@@ -227,7 +226,7 @@ func flameSVG(root *fnode, by prof.Weight) string {
 	return b.String()
 }
 
-func writeProfileSection(b *strings.Builder, p *prof.Profile, topN int) {
+func writeProfileSection(b *strings.Builder, p *prof.Profile) {
 	cycles, uj := p.Totals()
 	b.WriteString("<h2>Energy / cycle profile</h2>\n")
 	fmt.Fprintf(b, "<p class=\"note\">%d frames; %d modeled instructions, %d µJ modeled energy. "+
@@ -240,11 +239,11 @@ func writeProfileSection(b *strings.Builder, p *prof.Profile, topN int) {
 		}
 		fmt.Fprintf(b, "<h3>Flame graph — %s</h3>\n", weightLabel(by))
 		b.WriteString(flameSVG(root, by))
-		writeTopTable(b, p, by, topN)
+		writeTopTable(b, p, by)
 	}
 }
 
-func writeTopTable(b *strings.Builder, p *prof.Profile, by prof.Weight, topN int) {
+func writeTopTable(b *strings.Builder, p *prof.Profile, by prof.Weight) {
 	rows := p.Top(by)
 	if len(rows) > topN {
 		rows = rows[:topN]
@@ -632,36 +631,6 @@ func writeHistorySection(b *strings.Builder, records []history.Record) {
 			}
 			fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td>%.4g</td><td>%.4g</td><td>%s</td></tr>\n",
 				html.EscapeString(k), sparkline(vals), first, last, delta)
-		}
-		b.WriteString("</table>\n")
-	}
-
-	// Per-layer energy trends, when any record attributes them.
-	layerKeys := map[string]bool{}
-	for _, r := range records {
-		for k := range r.LayerEnergyUJ {
-			layerKeys[k] = true
-		}
-	}
-	var layers []string
-	for k := range layerKeys {
-		layers = append(layers, k)
-	}
-	sort.Strings(layers)
-	if len(layers) > 0 {
-		b.WriteString("<h3>Per-layer energy (µJ) trends</h3>\n<table><tr><th>layer</th><th>trend</th><th>last µJ</th></tr>\n")
-		for _, k := range layers {
-			var vals []float64
-			for _, r := range records {
-				if v, ok := r.LayerEnergyUJ[k]; ok {
-					vals = append(vals, float64(v))
-				}
-			}
-			if len(vals) == 0 {
-				continue
-			}
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td>%.0f</td></tr>\n",
-				html.EscapeString(k), sparkline(vals), vals[len(vals)-1])
 		}
 		b.WriteString("</table>\n")
 	}

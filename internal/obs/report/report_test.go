@@ -39,12 +39,10 @@ func fullData() Data {
 				Gauges:   []obs.GaugeValue{{Name: "gw.active", Value: 5}}},
 		},
 		History: []history.Record{
-			{Date: "2026-08-01", Source: "msreport", Commit: "aaa", GoVersion: "go1.22",
-				Headline:      map[string]float64{"profile_energy_uj": 50e9},
-				LayerEnergyUJ: map[string]int64{"core.BatteryFigure": 50_000_000_000}},
-			{Date: "2026-08-06", Source: "msreport", Commit: "bbb", GoVersion: "go1.22",
-				Headline:      map[string]float64{"profile_energy_uj": 52e9},
-				LayerEnergyUJ: map[string]int64{"core.BatteryFigure": 52_000_000_000}},
+			{Date: "2026-08-01", Source: "benchreg", Commit: "aaa", GoVersion: "go1.22",
+				Headline: map[string]float64{"ModExp512_ns_per_op": 264830}},
+			{Date: "2026-08-06", Source: "benchreg", Commit: "bbb", GoVersion: "go1.22",
+				Headline: map[string]float64{"ModExp512_ns_per_op": 250000}},
 		},
 	}
 }
@@ -66,7 +64,7 @@ func TestHTMLAllSections(t *testing.T) {
 		"wtls.handshakes",
 		"distributed-span ring: 10 recorded, 4 dropped (capacity 8)",
 		"Cross-run history",
-		"profile_energy_uj",
+		"ModExp512_ns_per_op",
 		"<polyline",
 		"Metric timeline",
 		"load.retries Δ",

@@ -35,7 +35,7 @@ func spanColor(layer string) string {
 	return "#57606a"
 }
 
-func writeSpanSection(b *strings.Builder, spans []obs.SpanRec, skipped, topN int) {
+func writeSpanSection(b *strings.Builder, spans []obs.SpanRec, skipped int) {
 	trees := obs.BuildTraces(spans)
 	b.WriteString("<h2>Distributed traces</h2>\n")
 	merged := 0
@@ -54,7 +54,7 @@ func writeSpanSection(b *strings.Builder, spans []obs.SpanRec, skipped, topN int
 		return
 	}
 
-	writeCritPathTable(b, trees, topN)
+	writeCritPathTable(b, trees)
 
 	shown := len(trees)
 	if shown > maxWaterfalls {
@@ -71,7 +71,7 @@ func writeSpanSection(b *strings.Builder, spans []obs.SpanRec, skipped, topN int
 
 // writeCritPathTable renders where the sessions' time went: total
 // self-time per span kind across every loaded trace, descending.
-func writeCritPathTable(b *strings.Builder, trees []obs.TraceTree, topN int) {
+func writeCritPathTable(b *strings.Builder, trees []obs.TraceTree) {
 	rows := obs.CritTop(trees, topN)
 	var total int64
 	for _, e := range rows {

@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -353,37 +352,4 @@ func Summary(firings []Firing) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// MarshalFirings renders firings as deterministic JSON for the /alerts
-// endpoint and tooling.
-func MarshalFirings(firings []Firing) []byte {
-	type wire struct {
-		Rule      string   `json:"rule"`
-		Severity  Severity `json:"severity"`
-		Metric    string   `json:"metric"`
-		Denom     string   `json:"denom,omitempty"`
-		Op        string   `json:"op"`
-		Threshold float64  `json:"threshold"`
-		Value     float64  `json:"value"`
-		SlowValue float64  `json:"slow_value,omitempty"`
-		Burn      *Burn    `json:"burn,omitempty"`
-		TSim      int64    `json:"t_sim"`
-		Reason    string   `json:"reason,omitempty"`
-	}
-	out := make([]wire, 0, len(firings))
-	for _, f := range firings {
-		out = append(out, wire{
-			Rule: f.Rule.Name, Severity: f.Rule.Severity, Metric: f.Rule.Metric,
-			Denom: f.Rule.Denom, Op: f.Rule.Op, Threshold: f.Rule.Threshold,
-			Value: f.Value, SlowValue: f.SlowValue, Burn: f.Rule.Burn,
-			TSim: f.TSim, Reason: f.Rule.Reason,
-		})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Rule < out[j].Rule })
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return []byte("[]")
-	}
-	return b
 }

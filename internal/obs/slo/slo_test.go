@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -125,6 +126,8 @@ func TestEvalAggregations(t *testing.T) {
 	}
 }
 
+// TestSummaryAndMarshal pins the stderr summary line and the Firing
+// record it is rendered from.
 func TestSummaryAndMarshal(t *testing.T) {
 	rules, _ := Parse([]byte(`[
 	  {"name":"retx-energy","metric":"energy.drained_uj.radio-retx","denom":"energy.drained_uj","op":">","threshold":0.3,"severity":"warn","reason":"ARQ overhead"}
@@ -140,14 +143,9 @@ func TestSummaryAndMarshal(t *testing.T) {
 	if Summary(nil) != "" {
 		t.Error("Summary(nil) not empty")
 	}
-	blob := string(MarshalFirings(e.Firings()))
-	for _, frag := range []string{`"rule": "retx-energy"`, `"value": 0.4`, `"t_sim": -1`} {
-		if !strings.Contains(blob, frag) {
-			t.Errorf("marshal %s missing %q", blob, frag)
-		}
-	}
-	if string(MarshalFirings(nil)) != "[]" {
-		t.Errorf("MarshalFirings(nil) = %s", MarshalFirings(nil))
+	want := []Firing{{Rule: rules[0], Value: 0.4, TSim: -1}}
+	if got := e.Firings(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Firings() = %+v, want %+v", got, want)
 	}
 }
 
@@ -292,11 +290,18 @@ func TestEvalBurn(t *testing.T) {
 	if !strings.Contains(sum, "over 2w/4w") {
 		t.Fatalf("summary %q missing burn window annotation", sum)
 	}
-	blob := string(MarshalFirings(e.Firings()))
-	for _, frag := range []string{`"slow_value": 0.25`, `"fast": 2`, `"slow": 4`} {
-		if !strings.Contains(blob, frag) {
-			t.Errorf("marshal %s missing %q", blob, frag)
+	var burn Firing
+	for _, f := range e.Firings() {
+		if f.Rule.Name == "retry-burn" {
+			burn = f
 		}
+	}
+	want := Firing{Rule: rules[0], Value: 6.0 / 20, SlowValue: 0.25, TSim: 5}
+	if !reflect.DeepEqual(burn, want) {
+		t.Errorf("Firings() burn entry = %+v, want %+v", burn, want)
+	}
+	if b := burn.Rule.Burn; b == nil || b.Fast != 2 || b.Slow != 4 {
+		t.Errorf("burn windows = %+v, want fast 2 slow 4", b)
 	}
 }
 

@@ -10,6 +10,9 @@ import (
 // restores the disarmed default afterwards.
 func armDTrace(t *testing.T) {
 	t.Helper()
+	// Trace IDs are deterministic, so a repeated run (-count=N) would
+	// otherwise find the previous run's spans in the shared ring.
+	obs.DefaultDTracer.Reset()
 	obs.DefaultDTracer.SetEnabled(true)
 	obs.DefaultDTracer.SetProc("wtls-test")
 	obs.DefaultDTracer.SetSampleN(1)

@@ -75,8 +75,6 @@ type (
 	LossFigure = core.LossFigure
 	// LossPoint is one BER column of a LossFigure.
 	LossPoint = core.LossPoint
-	// LossSimOptions tunes the simulated loss figure's ARQ endpoints.
-	LossSimOptions = core.LossSimOptions
 	// ArchitectureGapRow is one rung of the accelerator ablation (B1).
 	ArchitectureGapRow = core.ArchitectureGapRow
 	// Revision is one protocol revision on the Figure 2 timeline.
@@ -362,7 +360,3 @@ const (
 	WEPIVSequential = wep.IVSequential
 	WEPIVConstant   = wep.IVConstant
 )
-
-// DefaultARQPipeline is the simulated loss figure's default transmit-
-// pipeline depth (crypto of frame k overlaps transmit of frame k-1).
-const DefaultARQPipeline = core.DefaultARQPipeline
