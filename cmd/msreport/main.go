@@ -1,13 +1,13 @@
 // msreport turns the run artifacts the other cmds write — energy/cycle
-// profiles (-profile), metric snapshots (-metrics), distributed span
-// traces (-dtrace, repeatable: the msload and msgateway halves of a
-// soak merge into end-to-end traces) and the cross-run history book —
-// into human-facing views: a self-contained HTML report (inline SVG
-// flame graphs, per-session span waterfalls with critical-path
-// attribution, layer-cost tables, metric summaries, history trend
-// sparklines; no external assets, no scripts),
-// a folded-stack text file for standard flamegraph tooling, and a
-// pprof-style top table on stdout.
+// profiles (-profile), distributed span traces (-dtrace, repeatable:
+// the msload and msgateway halves of a soak merge into end-to-end
+// traces) and the cross-run history book — into human-facing views: a
+// self-contained HTML report (inline SVG flame graphs, per-session span
+// waterfalls with critical-path attribution, layer-cost tables, history
+// trend sparklines; no external assets, no scripts), a folded-stack
+// text file for standard flamegraph tooling, and a pprof-style top
+// table on stdout. Metric snapshots, series and journals are JSON
+// already and are read as they are.
 //
 // Typical flow:
 //
@@ -20,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +28,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/history"
-	"repro/internal/obs/journal"
 	"repro/internal/obs/prof"
 	"repro/internal/obs/report"
 )
@@ -57,11 +55,8 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("msreport", flag.ExitOnError)
 	var profilePaths multiFlag
 	fs.Var(&profilePaths, "profile", "energy/cycle profile JSON to include (repeatable; multiple merge)")
-	metricsPath := fs.String("metrics", "", "metrics snapshot JSON to include")
 	var dtracePaths multiFlag
 	fs.Var(&dtracePaths, "dtrace", "distributed span trace JSONL to include (repeatable; client and server files merge into end-to-end traces)")
-	journalPath := fs.String("journal", "", "structured event journal JSONL to include (SLO alert table, per-layer counts)")
-	seriesPath := fs.String("series", "", "windowed metric time-series JSONL to render as a timeline panel")
 	historyPath := fs.String("history", "", "cross-run history JSONL to render trends from (e.g. bench/history.jsonl)")
 	htmlPath := fs.String("html", "", "write the self-contained HTML report here")
 	foldedPath := fs.String("folded", "", "write folded stacks (flamegraph.pl/speedscope input) here")
@@ -69,9 +64,8 @@ func run(args []string, stdout io.Writer) error {
 	title := fs.String("title", "mobilesec run report", "report title")
 	_ = fs.Parse(args)
 
-	if len(profilePaths) == 0 && len(dtracePaths) == 0 && *metricsPath == "" && *journalPath == "" &&
-		*seriesPath == "" && *historyPath == "" {
-		return fmt.Errorf("nothing to report: give at least one of -profile, -metrics, -dtrace, -journal, -series, -history")
+	if len(profilePaths) == 0 && len(dtracePaths) == 0 && *historyPath == "" {
+		return fmt.Errorf("nothing to report: give at least one of -profile, -dtrace, -history")
 	}
 
 	var merged *prof.Profile
@@ -87,18 +81,6 @@ func run(args []string, stdout io.Writer) error {
 		merged = prof.Merge(loaded...)
 	}
 
-	var snap *obs.Snapshot
-	if *metricsPath != "" {
-		blob, err := os.ReadFile(*metricsPath)
-		if err != nil {
-			return err
-		}
-		snap = &obs.Snapshot{}
-		if err := json.Unmarshal(blob, snap); err != nil {
-			return fmt.Errorf("%s: %w", *metricsPath, err)
-		}
-	}
-
 	// Merge every -dtrace file: the usual pair is the msload and
 	// msgateway halves of one soak, which join into end-to-end traces.
 	var spans []obs.SpanRec
@@ -112,28 +94,6 @@ func run(args []string, stdout io.Writer) error {
 		spansSkipped += skipped
 		if skipped > 0 {
 			fmt.Fprintf(os.Stderr, "msreport: %s: skipped %d malformed span line(s)\n", path, skipped)
-		}
-	}
-
-	var jevents []journal.Event
-	jskipped := 0
-	if *journalPath != "" {
-		var err error
-		jevents, jskipped, err = journal.LoadFile(*journalPath)
-		if err != nil {
-			return err
-		}
-		if jskipped > 0 {
-			fmt.Fprintf(os.Stderr, "msreport: %s: skipped %d malformed journal line(s)\n", *journalPath, jskipped)
-		}
-	}
-
-	var windows []obs.SeriesWindow
-	if *seriesPath != "" {
-		var err error
-		windows, err = obs.ReadSeries(*seriesPath)
-		if err != nil {
-			return err
 		}
 	}
 
@@ -165,15 +125,11 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		werr := report.HTML(f, report.Data{
-			Title:          *title,
-			Profile:        merged,
-			Metrics:        snap,
-			Spans:          spans,
-			SpansSkipped:   spansSkipped,
-			Journal:        jevents,
-			JournalSkipped: jskipped,
-			Series:         windows,
-			History:        records,
+			Title:        *title,
+			Profile:      merged,
+			Spans:        spans,
+			SpansSkipped: spansSkipped,
+			History:      records,
 		})
 		if cerr := f.Close(); werr == nil {
 			werr = cerr

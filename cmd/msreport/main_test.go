@@ -12,8 +12,6 @@ const (
 	profileJSON = `{"go_version":"go1.22","frames":[
  {"path":"core.BatteryFigure/mp.ModExpWindow","cycles":4700,"energy_uj":1400},
  {"path":"core.BatteryFigure/radio.txrx","energy_uj":3800}]}`
-	metricsJSON = `{"counters":[{"name":"wtls.handshakes","value":3}],
- "gauges":[{"name":"core.battery_j","value":26000}]}`
 	// The client half of one session: the handshake and echo children
 	// cover the root's full 100 µs.
 	clientSpans = `{"trace":"00000000000000a1","span":"0000000000000b01","ord":0,"proc":"msload","layer":"load","name":"session","start_us":0,"dur_us":100}
@@ -23,14 +21,17 @@ const (
 	// The gateway half, parented on the client's handshake span.
 	serverSpans = `{"trace":"00000000000000a1","span":"0000000000000c01","parent":"0000000000000b02","ord":0,"proc":"msgateway","layer":"gateway","name":"session","start_us":5000,"dur_us":50}
 `
-	historyJSONL = `{"date":"2026-08-07","source":"benchreg","commit":"aaa1111","go_version":"go1.22","headline":{"ModExp512_ns_per_op":264830,"slo_fired":0}}
-{"date":"2026-08-08","source":"benchreg","commit":"bbb2222","go_version":"go1.22","headline":{"ModExp512_ns_per_op":250000,"slo_fired":0}}
+	// The first run has another configuration fingerprint, so its
+	// 900000 must stay out of the trend: Δ is 264830 → 250000 only.
+	historyJSONL = `{"date":"2026-08-06","source":"benchreg","commit":"fff0000","go_version":"go1.22","num_cpu":2,"config_fingerprint":"111111111111","headline":{"ModExp512_ns_per_op":900000,"slo_fired":0}}
+{"date":"2026-08-07","source":"benchreg","commit":"aaa1111","go_version":"go1.22","num_cpu":2,"config_fingerprint":"222222222222","headline":{"ModExp512_ns_per_op":264830,"slo_fired":0}}
+{"date":"2026-08-08","source":"benchreg","commit":"bbb2222","go_version":"go1.22","num_cpu":2,"config_fingerprint":"222222222222","headline":{"ModExp512_ns_per_op":250000,"slo_fired":0}}
 `
 )
 
 // TestRun drives run() as the command line does and checks the HTML
-// section headings each input adds and the stdout lines CI parses —
-// the dtrace line exactly, since a gate splits it on spaces and "=".
+// each input adds and the stdout lines CI parses — the dtrace line
+// exactly, since a gate splits it on spaces and "=".
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -41,7 +42,6 @@ func TestRun(t *testing.T) {
 		return path
 	}
 	profile := write("run.prof.json", profileJSON)
-	metrics := write("run.metrics.json", metricsJSON)
 	client := write("load.dtrace.jsonl", clientSpans)
 	server := write("gw.dtrace.jsonl", serverSpans)
 	hist := write("history.jsonl", historyJSONL)
@@ -49,7 +49,7 @@ func TestRun(t *testing.T) {
 	cases := []struct {
 		name      string
 		args      []string
-		headings  []string // HTML section headings that must appear
+		inHTML    []string // HTML fragments that must appear
 		absent    []string // and ones that must not
 		stdout    []string // exact stdout lines that must appear
 		noStdout  bool     // stdout must stay empty
@@ -57,34 +57,31 @@ func TestRun(t *testing.T) {
 	}{{
 		name:      "profile",
 		args:      []string{"-profile", profile, "-weight", "energy"},
-		headings:  []string{"<h2>Energy / cycle profile</h2>", "<h3>Flame graph — energy (µJ)</h3>"},
-		absent:    []string{"<h2>Metric snapshot</h2>", "<h2>Distributed traces</h2>", "<h2>Cross-run history</h2>"},
+		inHTML:    []string{"<h2>Energy / cycle profile</h2>", "<h3>Flame graph — energy (µJ)</h3>"},
+		absent:    []string{"<h2>Distributed traces</h2>", "<h2>Cross-run history</h2>"},
 		stdout:    []string{"profile: 2 frames, 4700 instr, 5200 µJ (top by energy)"},
 		foldedHas: "core.BatteryFigure;radio.txrx 3800",
 	}, {
-		name:     "metrics",
-		args:     []string{"-metrics", metrics},
-		headings: []string{"<h2>Metric snapshot</h2>", "<h3>Counters</h3>", "<h3>Gauges</h3>"},
-		absent:   []string{"<h2>Energy / cycle profile</h2>"},
-		noStdout: true,
-	}, {
-		name:     "dtrace merged",
-		args:     []string{"-dtrace", client, "-dtrace", server},
-		headings: []string{"<h2>Distributed traces</h2>", "<h3>Critical path — self-time by span kind</h3>", "<h3>Trace <code>00000000000000a1</code></h3>"},
+		name:   "dtrace merged",
+		args:   []string{"-dtrace", client, "-dtrace", server},
+		inHTML: []string{"<h2>Distributed traces</h2>", "<h3>Critical path — self-time by span kind</h3>", "<h3>Trace <code>00000000000000a1</code></h3>"},
 		stdout: []string{
 			"dtrace: traces=1 spans=4 merged=1 coverage_ge95=1 min_coverage=1.000",
 			"critical path (self-time by span kind):",
 		},
 	}, {
-		name:     "dtrace client half",
-		args:     []string{"-dtrace", client},
-		headings: []string{"<h2>Distributed traces</h2>"},
-		stdout:   []string{"dtrace: traces=1 spans=3 merged=0 coverage_ge95=1 min_coverage=1.000"},
+		name:   "dtrace client half",
+		args:   []string{"-dtrace", client},
+		inHTML: []string{"<h2>Distributed traces</h2>"},
+		stdout: []string{"dtrace: traces=1 spans=3 merged=0 coverage_ge95=1 min_coverage=1.000"},
 	}, {
-		name:     "history",
-		args:     []string{"-history", hist},
-		headings: []string{"<h2>Cross-run history</h2>", "<h3>Headline trends</h3>", "<h3>Runs</h3>"},
-		absent:   []string{"Per-layer energy"},
+		name: "history",
+		args: []string{"-history", hist},
+		inHTML: []string{"<h2>Cross-run history</h2>", "<h3>Headline trends</h3>", "<h3>Runs</h3>",
+			"<td>2.648e+05</td><td>2.5e+05</td><td>-5.6%</td>",
+			"1 run(s) with another configuration are left out",
+			"<td>fff0000</td>"}, // the Runs table still lists every run
+		absent:   []string{"Per-layer energy", "9e+05"},
 		noStdout: true,
 	}}
 	for _, tc := range cases {
@@ -105,9 +102,9 @@ func TestRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			doc := string(blob)
-			for _, h := range tc.headings {
+			for _, h := range tc.inHTML {
 				if !strings.Contains(doc, h) {
-					t.Errorf("HTML lacks heading %q", h)
+					t.Errorf("HTML lacks %q", h)
 				}
 			}
 			for _, h := range tc.absent {

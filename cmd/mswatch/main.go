@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/backoff"
-	"repro/internal/obs"
 	"repro/internal/obs/journal"
 )
 
@@ -40,16 +39,7 @@ const (
 func main() {
 	addr := flag.String("addr", "localhost:6060", "obs server address (host:port) of the tool to watch")
 	level := flag.String("level", "info", "minimum journal level to print: debug, info, warn or crit")
-	promOnce := flag.Bool("prom", false, "one-shot: fetch /metrics.prom, validate the exposition text, print a family summary, exit")
 	flag.Parse()
-
-	if *promOnce {
-		if err := checkProm("http://" + *addr); err != nil {
-			fmt.Fprintf(os.Stderr, "mswatch: -prom: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	min, err := journal.ParseLevel(*level)
 	if err != nil {
@@ -75,32 +65,6 @@ func main() {
 		os.Exit(1)
 	}
 	// The watched tool went away for good — normal end.
-}
-
-// checkProm fetches the Prometheus exposition endpoint once, runs it
-// through the strict parser, and prints one line per metric family.
-// Any malformed line fails the whole check — CI uses this as the
-// format gate for /metrics.prom.
-func checkProm(base string) error {
-	resp, err := http.Get(base + "/metrics.prom")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s/metrics.prom: %s", base, resp.Status)
-	}
-	families, err := obs.ParseProm(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return err
-	}
-	samples := 0
-	for _, f := range families {
-		fmt.Printf("%s %s: %d sample(s)\n", f.Type, f.Name, len(f.Samples))
-		samples += len(f.Samples)
-	}
-	fmt.Printf("ok: %d families, %d samples\n", len(families), samples)
-	return nil
 }
 
 // dialEvents opens the /events SSE stream.

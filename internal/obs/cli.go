@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,9 +28,10 @@ var ErrSLOStrict = errors.New("critical SLO rule fired (strict mode)")
 // JSONL, shaped by -trace-sample and -dtrace-canon), -profile
 // (energy/cycle call tree), -journal (event JSONL, filtered by
 // -journal-level) and -series (windowed metric JSONL, cut on the
-// -series-interval wall clock or by the cmd's SeriesTick). -slo,
-// -slo-strict and -slo-interval evaluate rules over the registry and
-// the series; -pprof serves the live endpoints (see ServeConfig).
+// -series-interval wall clock or by the cmd's SeriesTick). -slo and
+// -slo-strict evaluate rules over the series windows as they are cut
+// and over the registry at run end; -pprof serves the live endpoints
+// (see ServeConfig).
 //
 // Usage in a cmd:
 //
@@ -52,7 +54,6 @@ type CLI struct {
 	journalLevel string
 	sloPath      string
 	sloStrict    bool
-	sloInterval  time.Duration
 	seriesPath   string
 	seriesEvery  time.Duration
 	pprofAddr    string
@@ -60,7 +61,7 @@ type CLI struct {
 	level    journal.Level
 	engine   *slo.Engine
 	shutdown func() error
-	stop     chan struct{} // ends the -slo-interval and -series-interval loops
+	stop     chan struct{} // ends the -series-interval loop
 	loops    sync.WaitGroup
 }
 
@@ -76,7 +77,6 @@ func BindFlags(fs *flag.FlagSet) *CLI {
 	fs.StringVar(&c.journalLevel, "journal-level", "info", "minimum journal level: debug, info, warn or crit")
 	fs.StringVar(&c.sloPath, "slo", "", "evaluate the SLO rules in this JSON file against the run's metrics")
 	fs.BoolVar(&c.sloStrict, "slo-strict", false, "exit nonzero when a crit-severity SLO rule fires")
-	fs.DurationVar(&c.sloInterval, "slo-interval", 0, "also evaluate SLO rules on this wall-clock period (0 = run end only)")
 	fs.StringVar(&c.seriesPath, "series", "", "record windowed metric time-series and write them (JSONL) to this file on exit")
 	fs.DurationVar(&c.seriesEvery, "series-interval", 0, "cut wall-clock series windows on this period (0 = model-time ticks from the cmd)")
 	fs.StringVar(&c.pprofAddr, "pprof", "", "serve pprof/expvar/metrics/events/progress HTTP endpoints on this address (e.g. localhost:6060)")
@@ -148,12 +148,14 @@ func (c *CLI) sinks() []sink {
 				DefaultSeries.armed.Store(false)
 				return
 			}
-			// Burn-rate rules evaluate synchronously as each window is
-			// cut, so a trajectory violation reaches the journal mid-run
-			// with the window's own key, deterministic in model-tick mode.
+			// Rules evaluate synchronously as each window is cut, so a
+			// trajectory violation reaches the journal mid-run with the
+			// window's own key, deterministic in model-tick mode.
+			// WindowLookup answers no run totals, so only burn rules can
+			// fire here.
 			var onWindow func(t int64)
-			if eng := c.engine; eng != nil && eng.HasBurnRules() {
-				onWindow = func(t int64) { emitFirings(eng.EvalBurn(t, DefaultSeries.WindowLookup)) }
+			if eng := c.engine; eng != nil {
+				onWindow = func(t int64) { emitFirings(eng.Eval(t, DefaultSeries.WindowLookup)) }
 			}
 			DefaultSeries.Arm(Default, onWindow)
 		},
@@ -202,20 +204,25 @@ func (c *CLI) Activate() error {
 		c.shutdown = shutdown
 		fmt.Fprintf(os.Stderr, "obs: pprof/metrics/events/progress on http://%s/\n", addr)
 	}
-	c.stop = make(chan struct{})
-	if c.engine != nil && c.sloInterval > 0 {
-		// Surface budget violations while a long-running tool executes;
-		// firings also reach /events subscribers through the journal.
-		eng := c.engine
-		c.every(c.sloInterval, func() {
-			snap := Default.Snapshot()
-			emitFirings(eng.Eval(journal.TEnd, snap.Lookup))
-		})
-	}
 	if c.seriesEvery > 0 {
 		// Wall-clock windows for tools with no model clock (gateway,
-		// loadgen); burn-rate evaluation rides the onWindow callback.
-		c.every(c.seriesEvery, DefaultSeries.TickWall)
+		// loadgen); SLO evaluation rides the onWindow callback.
+		stop := make(chan struct{})
+		c.stop = stop
+		c.loops.Add(1)
+		go func() {
+			defer c.loops.Done()
+			tick := time.NewTicker(c.seriesEvery)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+					DefaultSeries.TickWall()
+				}
+			}
+		}()
 	}
 	return nil
 }
@@ -225,8 +232,6 @@ func (c *CLI) validate() error {
 	switch {
 	case c.traceSample < 1:
 		return fmt.Errorf("-trace-sample: must be >= 1 (got %d)", c.traceSample)
-	case c.sloInterval < 0:
-		return fmt.Errorf("-slo-interval: must be >= 0 (got %v)", c.sloInterval)
 	case c.seriesEvery < 0:
 		return fmt.Errorf("-series-interval: must be >= 0 (got %v)", c.seriesEvery)
 	case c.seriesEvery != 0 && c.seriesPath == "":
@@ -245,34 +250,14 @@ func (c *CLI) validate() error {
 		return fmt.Errorf("-slo: %w", err)
 	}
 	c.engine = slo.NewEngine(rules)
-	if c.engine.HasBurnRules() && c.seriesPath == "" {
+	if c.seriesPath == "" && slices.ContainsFunc(rules, func(r slo.Rule) bool { return r.Burn != nil }) {
 		fmt.Fprintf(os.Stderr, "obs: rules file has burn-rate rules but -series is not set; they will stay silent\n")
 	}
 	return nil
 }
 
-// every starts a goroutine calling fn on each tick of period d; Close
-// stops it and waits for it to exit.
-func (c *CLI) every(d time.Duration, fn func()) {
-	stop := c.stop
-	c.loops.Add(1)
-	go func() {
-		defer c.loops.Done()
-		tick := time.NewTicker(d)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				fn()
-			}
-		}
-	}()
-}
-
 // emitFirings turns fired rules into journal events so they reach the
-// -journal file, /events subscribers, and the msreport alert table.
+// -journal file and /events subscribers.
 func emitFirings(firings []slo.Firing) {
 	for _, f := range firings {
 		lv := journal.LevelWarn
@@ -306,13 +291,20 @@ func (c *CLI) finishSLO() {
 	if c.engine == nil {
 		return
 	}
+	// Plain rules read the run totals; burn rules get one last look at
+	// whatever windows exist, so a violation in the final partial span
+	// is not lost.
 	snap := Default.Snapshot()
-	emitFirings(c.engine.Eval(journal.TEnd, snap.Lookup))
-	if c.seriesPath != "" {
-		// One last burn evaluation over whatever windows exist, so a
-		// violation in the final partial span is not lost.
-		emitFirings(c.engine.EvalBurn(journal.TEnd, DefaultSeries.WindowLookup))
-	}
+	series := c.seriesPath != ""
+	emitFirings(c.engine.Eval(journal.TEnd, func(metric, agg string, n int) (float64, bool) {
+		if n == 0 {
+			return snap.Lookup(metric, agg)
+		}
+		if !series {
+			return 0, false
+		}
+		return DefaultSeries.WindowLookup(metric, agg, n)
+	}))
 	if all := c.engine.Firings(); len(all) > 0 {
 		fmt.Fprintf(os.Stderr, "slo: %d rule(s) fired:\n%s", len(all), slo.Summary(all))
 	}

@@ -65,7 +65,7 @@ func TestBindFlagsRegistersAll(t *testing.T) {
 	BindFlags(fs)
 	for _, name := range []string{
 		"metrics", "profile", "pprof",
-		"journal", "journal-level", "slo", "slo-strict", "slo-interval",
+		"journal", "journal-level", "slo", "slo-strict",
 		"series", "series-interval",
 	} {
 		if fs.Lookup(name) == nil {
@@ -244,19 +244,17 @@ func TestActivateBadJournalLevel(t *testing.T) {
 func TestActivateNegativeIntervals(t *testing.T) {
 	disarmDefaults(t)
 	dir := t.TempDir()
-	for _, name := range []string{"-series-interval", "-slo-interval"} {
-		before := runtime.NumGoroutine()
-		_, err := activate(t, "-series", filepath.Join(dir, "s.jsonl"), name, "-1s")
-		if err == nil || !strings.Contains(err.Error(), name) {
-			t.Fatalf("negative %s: Activate err = %v, want flag-naming error", name, err)
-		}
-		assertInert(t, before)
+	before := runtime.NumGoroutine()
+	_, err := activate(t, "-series", filepath.Join(dir, "s.jsonl"), "-series-interval", "-1s")
+	if err == nil || !strings.Contains(err.Error(), "-series-interval") {
+		t.Fatalf("negative -series-interval: Activate err = %v, want flag-naming error", err)
 	}
+	assertInert(t, before)
 }
 
-// TestActivateSeriesIntervalNeedsSeries: the rules load and the SLO
-// interval is valid, but -series-interval without -series fails, and
-// must not leave the SLO eval loop running.
+// TestActivateSeriesIntervalNeedsSeries: the rules load, but
+// -series-interval without -series fails, and must not leave the
+// window loop running.
 func TestActivateSeriesIntervalNeedsSeries(t *testing.T) {
 	disarmDefaults(t)
 	rpath := filepath.Join(t.TempDir(), "r.json")
@@ -264,7 +262,7 @@ func TestActivateSeriesIntervalNeedsSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	_, err := activate(t, "-slo", rpath, "-slo-interval", "1s", "-series-interval", "1s")
+	_, err := activate(t, "-slo", rpath, "-series-interval", "1s")
 	if err == nil || !strings.Contains(err.Error(), "-series-interval requires -series") {
 		t.Fatalf("Activate err = %v, want -series-interval requires -series", err)
 	}
@@ -315,10 +313,7 @@ func TestSeriesModelTicksWritten(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ws, err := ReadSeries(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := readSeries(t, path)
 	if len(ws) != 2 || ws[0].T != 10 || ws[1].T != 20 {
 		t.Fatalf("windows = %+v, want t=10 and t=20", ws)
 	}
@@ -364,6 +359,38 @@ func TestSeriesBurnRuleFiresOnWindow(t *testing.T) {
 	}
 }
 
+// TestPlainRuleSilentAtWindowCuts: a plain rule reads run totals only,
+// so a ratio that trips in one window and recovers before run end never
+// fires, even with -series cutting windows mid-run.
+func TestPlainRuleSilentAtWindowCuts(t *testing.T) {
+	disarmDefaults(t)
+	dir := t.TempDir()
+	rpath := filepath.Join(dir, "r.json")
+	rule := `[{"name":"cli-ratio","metric":"cli_test.ratio_retries","denom":"cli_test.ratio_ok",` +
+		`"op":">","threshold":2,"severity":"warn","reason":"test"}]`
+	if err := os.WriteFile(rpath, []byte(rule), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := activate(t, "-slo", rpath, "-series", filepath.Join(dir, "s.jsonl"),
+		"-journal", filepath.Join(dir, "run.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	C("cli_test.ratio_retries").Add(5)
+	C("cli_test.ratio_ok").Add(1)
+	SeriesTick(1) // 5/1: over threshold in this window
+	C("cli_test.ratio_ok").Add(99)
+	SeriesTick(2) // run totals now 5/100
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range journal.Default.Events() {
+		if e.Name == "slo_fired" && e.Get("rule") == "cli-ratio" {
+			t.Fatalf("plain rule fired: %+v", e)
+		}
+	}
+}
+
 // TestSeriesIntervalCutsWallWindows: with -series-interval the CLI cuts
 // windows on the wall clock, keyed by milliseconds since Activate.
 func TestSeriesIntervalCutsWallWindows(t *testing.T) {
@@ -382,10 +409,7 @@ func TestSeriesIntervalCutsWallWindows(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ws, err := ReadSeries(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := readSeries(t, path)
 	if len(ws) < 2 || ws[1].T < ws[0].T || ws[1].I != 1 {
 		t.Fatalf("wall windows = %+v, want >= 2 in tick order", ws)
 	}

@@ -215,7 +215,7 @@ func (t *DTracer) NowUS() int64 {
 }
 
 // mTraceSpans / mTraceDropped export ring health through the metrics
-// registry (and so the Prometheus exposition): spans recorded and spans
+// registry (and so the /metrics JSON): spans recorded and spans
 // the ring overwrote.
 var (
 	mTraceSpans   = C("obs.trace_spans")

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"sync"
@@ -292,23 +293,30 @@ func TestDTracerConcurrent(t *testing.T) {
 	}
 }
 
-// TestTraceCountersInProm pins satellite behavior: the span/drop
-// counters surface through the Prometheus exposition like any other
-// registry counter.
-func TestTraceCountersInProm(t *testing.T) {
+// TestTraceCountersInSnapshot pins satellite behavior: the span/drop
+// counters surface through the JSON snapshot (the /metrics body and the
+// -metrics file) like any other registry counter.
+func TestTraceCountersInSnapshot(t *testing.T) {
 	Default.SetEnabled(true)
 	defer Default.SetEnabled(false)
 	mTraceSpans.Inc()
 	mTraceDropped.Inc()
 	snap := Default.Snapshot()
 	var buf bytes.Buffer
-	if err := WriteProm(&buf, &snap); err != nil {
+	if err := snap.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"obs_trace_spans", "obs_trace_dropped"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prom exposition missing %s:\n%s", want, out)
+	var got Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatalf("snapshot JSON does not parse: %v", err)
+	}
+	for _, want := range []string{"obs.trace_spans", "obs.trace_dropped"} {
+		found := false
+		for _, c := range got.Counters {
+			found = found || (c.Name == want && c.Value > 0)
+		}
+		if !found {
+			t.Fatalf("snapshot JSON lacks counter %s:\n%s", want, buf.String())
 		}
 	}
 }

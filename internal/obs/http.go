@@ -59,11 +59,6 @@ func ServeConfig(addr string, cfg ServerConfig) (string, func() error, error) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = cfg.Registry.WriteJSON(w)
 	})
-	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		snap := cfg.Registry.Snapshot()
-		_ = WriteProm(w, &snap)
-	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
 		progress := ProgressSource()
 		if progress == nil {

@@ -53,6 +53,15 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	get("/debug/vars")
 	get("/debug/pprof/cmdline")
+	// /metrics is the one metrics wire shape.
+	resp, err := http.Get("http://" + addr + "/metrics.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /metrics.prom: status %d, want 404", resp.StatusCode)
+	}
 }
 
 // readSSEFrame reads one "event:"/"data:" frame from an SSE stream.

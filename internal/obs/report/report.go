@@ -1,5 +1,5 @@
-// Package report renders the observability layer's run artifacts —
-// metrics snapshots, span waterfalls, energy/cycle profiles and
+// Package report renders the observability layer's run artifacts that
+// no other surface draws — energy/cycle profiles, span waterfalls and
 // cross-run history — into a single self-contained HTML document:
 // inline CSS, inline SVG flame graphs and sparklines, zero external
 // assets, zero scripts. The output is deterministic for deterministic
@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/history"
-	"repro/internal/obs/journal"
 	"repro/internal/obs/prof"
 )
 
@@ -25,20 +24,12 @@ import (
 type Data struct {
 	Title   string
 	Profile *prof.Profile
-	Metrics *obs.Snapshot
 	// Spans holds distributed-trace span records (the -dtrace JSONL,
 	// possibly merged from several processes); SpansSkipped counts
 	// malformed lines the loader dropped.
 	Spans        []obs.SpanRec
 	SpansSkipped int
-	// Journal is a run's structured event journal (the -journal JSONL);
-	// JournalSkipped counts lines the loader could not parse.
-	Journal        []journal.Event
-	JournalSkipped int
-	// Series holds the windowed metric time series (the -series JSONL);
-	// the timeline panel shades windows where an SLO rule fired.
-	Series  []obs.SeriesWindow
-	History []history.Record
+	History      []history.Record
 }
 
 // topN is the row count of every top table.
@@ -59,17 +50,8 @@ func HTML(w io.Writer, d Data) error {
 	if d.Profile != nil {
 		writeProfileSection(&b, d.Profile)
 	}
-	if d.Metrics != nil {
-		writeMetricsSection(&b, d.Metrics)
-	}
 	if len(d.Spans) > 0 || d.SpansSkipped > 0 {
 		writeSpanSection(&b, d.Spans, d.SpansSkipped)
-	}
-	if len(d.Series) > 0 {
-		writeSeriesSection(&b, d.Series, d.Journal)
-	}
-	if len(d.Journal) > 0 || d.JournalSkipped > 0 {
-		writeJournalSection(&b, d.Journal, d.JournalSkipped)
 	}
 	if len(d.History) > 0 {
 		writeHistorySection(&b, d.History)
@@ -264,298 +246,6 @@ func writeTopTable(b *strings.Builder, p *prof.Profile, by prof.Weight) {
 	b.WriteString("</table>\n")
 }
 
-// ---- metrics ----------------------------------------------------------
-
-func writeMetricsSection(b *strings.Builder, s *obs.Snapshot) {
-	b.WriteString("<h2>Metric snapshot</h2>\n")
-	if s.DTrace != nil {
-		fmt.Fprintf(b, "<p class=\"note\">distributed-span ring: %d recorded, %d dropped (capacity %d)</p>\n",
-			s.DTrace.Recorded, s.DTrace.Dropped, s.DTrace.Capacity)
-	}
-	if len(s.Counters) > 0 {
-		b.WriteString("<h3>Counters</h3>\n<table><tr><th>counter</th><th>value</th></tr>\n")
-		for _, c := range s.Counters {
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td></tr>\n", html.EscapeString(c.Name), c.Value)
-		}
-		b.WriteString("</table>\n")
-	}
-	if len(s.Gauges) > 0 {
-		b.WriteString("<h3>Gauges</h3>\n<table><tr><th>gauge</th><th>value</th></tr>\n")
-		for _, g := range s.Gauges {
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%g</td></tr>\n", html.EscapeString(g.Name), g.Value)
-		}
-		b.WriteString("</table>\n")
-	}
-	if len(s.Histograms) > 0 {
-		anyEx := false
-		for _, h := range s.Histograms {
-			if len(h.Exemplars) > 0 {
-				anyEx = true
-				break
-			}
-		}
-		b.WriteString("<h3>Histograms</h3>\n<table><tr><th>histogram</th><th>count</th><th>sum</th><th>mean</th><th>p50</th><th>p95</th><th>p99</th>")
-		if anyEx {
-			b.WriteString("<th>exemplar (slowest bucket)</th>")
-		}
-		b.WriteString("</tr>\n")
-		for _, h := range s.Histograms {
-			mean := 0.0
-			if h.Count > 0 {
-				mean = float64(h.Sum) / float64(h.Count)
-			}
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%.1f</td><td>%d</td><td>%d</td><td>%d</td>",
-				html.EscapeString(h.Name), h.Count, h.Sum, mean, h.P50, h.P95, h.P99)
-			if anyEx {
-				// The exemplar from the highest populated bucket is a trace
-				// ID to pull up in the waterfall: a worst-case session by
-				// construction.
-				ex := ""
-				for _, e := range h.Exemplars {
-					if e != "" {
-						ex = e
-					}
-				}
-				fmt.Fprintf(b, "<td><code>%s</code></td>", html.EscapeString(ex))
-			}
-			b.WriteString("</tr>\n")
-		}
-		b.WriteString("</table>\n")
-	}
-}
-
-// ---- time series -------------------------------------------------------
-
-// writeSeriesSection renders the windowed metric timeline: one
-// sparkline row per metric across all windows, with the windows where
-// an SLO rule fired shaded red so a burn that self-healed before the
-// run ended is still visible at a glance.
-func writeSeriesSection(b *strings.Builder, windows []obs.SeriesWindow, events []journal.Event) {
-	b.WriteString("<h2>Metric timeline</h2>\n")
-	fmt.Fprintf(b, "<p class=\"note\">%d windows (t=%d…%d). Counters plot per-window deltas, "+
-		"gauges their end-of-window value, histograms the per-window p95. "+
-		"Red bands mark windows where an SLO rule fired.</p>\n",
-		len(windows), windows[0].T, windows[len(windows)-1].T)
-
-	// Window index of every slo_fired event: during-run firings carry
-	// the t of the window that tripped them (end-of-run totals carry
-	// t=-1 and shade nothing).
-	shaded := make([]bool, len(windows))
-	tToIdx := map[int64]int{}
-	for i, w := range windows {
-		tToIdx[w.T] = i
-	}
-	anyShade := false
-	for _, e := range events {
-		if e.Layer != "slo" || e.Name != "slo_fired" {
-			continue
-		}
-		if i, ok := tToIdx[e.TSim]; ok {
-			shaded[i] = true
-			anyShade = true
-		}
-	}
-
-	// One value per window per metric; windows that never saw the
-	// metric contribute zero (counters/histograms) or carry the last
-	// value forward (gauges).
-	type row struct {
-		name string
-		vals []float64
-	}
-	idx := map[string]int{}
-	var rows []row
-	at := func(name string) []float64 {
-		i, ok := idx[name]
-		if !ok {
-			i = len(rows)
-			idx[name] = i
-			rows = append(rows, row{name: name, vals: make([]float64, len(windows))})
-		}
-		return rows[i].vals
-	}
-	for wi, w := range windows {
-		for _, c := range w.Counters {
-			at(c.Name + " Δ")[wi] = float64(c.Value)
-		}
-		for _, g := range w.Gauges {
-			at(g.Name)[wi] = g.Value
-		}
-		for _, h := range w.Histograms {
-			at(h.Name + " p95")[wi] = float64(h.P95)
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-
-	const maxRows = 60
-	shown := rows
-	if len(shown) > maxRows {
-		shown = shown[:maxRows]
-	}
-	b.WriteString("<table><tr><th>metric</th><th>timeline</th><th>min</th><th>max</th><th>last</th></tr>\n")
-	for _, r := range shown {
-		lo, hi := r.vals[0], r.vals[0]
-		for _, v := range r.vals {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td>%.4g</td><td>%.4g</td><td>%.4g</td></tr>\n",
-			html.EscapeString(r.name), sparklineShaded(r.vals, shaded),
-			lo, hi, r.vals[len(r.vals)-1])
-	}
-	b.WriteString("</table>\n")
-	if len(rows) > maxRows {
-		fmt.Fprintf(b, "<p class=\"note\">Timeline capped at %d of %d metrics.</p>\n", maxRows, len(rows))
-	}
-	if anyShade {
-		b.WriteString("<p class=\"note\">Shaded windows had at least one SLO firing; see the SLO alert table for the rules.</p>\n")
-	}
-}
-
-// sparklineShaded is sparkline plus per-window background bands for
-// the indices marked in shaded.
-func sparklineShaded(values []float64, shaded []bool) string {
-	const w, h = 220.0, 26.0
-	if len(values) == 0 {
-		return ""
-	}
-	lo, hi := values[0], values[0]
-	for _, v := range values {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	span := hi - lo
-	var b strings.Builder
-	fmt.Fprintf(&b, "<svg viewBox=\"0 0 %.0f %.0f\" width=\"%.0f\" height=\"%.0f\" style=\"display:inline-block;vertical-align:middle\">", w, h, w, h)
-	band := w / float64(len(values))
-	for i, on := range shaded {
-		if !on || i >= len(values) {
-			continue
-		}
-		fmt.Fprintf(&b, "<rect x=\"%.1f\" y=\"0\" width=\"%.1f\" height=\"%.0f\" fill=\"#fbd5d5\"/>",
-			band*float64(i), band, h)
-	}
-	var pts []string
-	for i, v := range values {
-		x := w * float64(i) / float64(max(len(values)-1, 1))
-		y := h / 2
-		if span > 0 {
-			y = h - 3 - (v-lo)/span*(h-6)
-		}
-		pts = append(pts, fmt.Sprintf("%.1f,%.1f", x, y))
-	}
-	if len(values) == 1 {
-		fmt.Fprintf(&b, "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"2.5\" fill=\"#2b6cb0\"/>", w/2, h/2)
-	} else {
-		fmt.Fprintf(&b, "<polyline points=\"%s\" fill=\"none\" stroke=\"#2b6cb0\" stroke-width=\"1.5\"/>", strings.Join(pts, " "))
-		last := strings.Split(pts[len(pts)-1], ",")
-		fmt.Fprintf(&b, "<circle cx=\"%s\" cy=\"%s\" r=\"2.5\" fill=\"#d9534f\"/>", last[0], last[1])
-	}
-	b.WriteString("</svg>")
-	return b.String()
-}
-
-// ---- journal ----------------------------------------------------------
-
-// writeJournalSection renders the structured event journal: the SLO
-// alert table first (the reason most readers open the report), then a
-// per-layer breakdown and an excerpt of the warn-and-above events.
-func writeJournalSection(b *strings.Builder, events []journal.Event, skipped int) {
-	b.WriteString("<h2>Event journal</h2>\n")
-	fmt.Fprintf(b, "<p class=\"note\">%d events.", len(events))
-	if skipped > 0 {
-		fmt.Fprintf(b, " <strong>%d malformed line(s) skipped</strong> while loading.", skipped)
-	}
-	b.WriteString("</p>\n")
-
-	// SLO alert table, from slo_fired events.
-	var fired []journal.Event
-	for _, e := range events {
-		if e.Layer == "slo" && e.Name == "slo_fired" {
-			fired = append(fired, e)
-		}
-	}
-	b.WriteString("<h3>SLO alerts</h3>\n")
-	if len(fired) == 0 {
-		b.WriteString("<p class=\"note\">No SLO rules fired.</p>\n")
-	} else {
-		b.WriteString("<table><tr><th>rule</th><th>severity</th><th>metric</th><th>value</th><th>op</th><th>threshold</th><th>reason</th></tr>\n")
-		for _, e := range fired {
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
-				html.EscapeString(e.Get("rule")), html.EscapeString(e.Get("severity")),
-				html.EscapeString(e.Get("metric")), html.EscapeString(e.Get("value")),
-				html.EscapeString(e.Get("op")), html.EscapeString(e.Get("threshold")),
-				html.EscapeString(e.Get("reason")))
-		}
-		b.WriteString("</table>\n")
-	}
-
-	// Per-layer, per-level counts.
-	type layerAgg struct{ counts [4]int }
-	layers := map[string]*layerAgg{}
-	var names []string
-	for _, e := range events {
-		la, ok := layers[e.Layer]
-		if !ok {
-			la = &layerAgg{}
-			layers[e.Layer] = la
-			names = append(names, e.Layer)
-		}
-		if e.Level >= journal.LevelDebug && e.Level <= journal.LevelCrit {
-			la.counts[e.Level]++
-		}
-	}
-	sort.Strings(names)
-	if len(names) > 0 {
-		b.WriteString("<h3>Events by layer</h3>\n<table><tr><th>layer</th><th>debug</th><th>info</th><th>warn</th><th>crit</th></tr>\n")
-		for _, name := range names {
-			la := layers[name]
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>\n",
-				html.EscapeString(name),
-				la.counts[journal.LevelDebug], la.counts[journal.LevelInfo],
-				la.counts[journal.LevelWarn], la.counts[journal.LevelCrit])
-		}
-		b.WriteString("</table>\n")
-	}
-
-	// Excerpt: warn-and-above events (already slo-tabled firings included
-	// for context), capped so a noisy run cannot bloat the document.
-	const maxExcerpt = 50
-	var lines []string
-	for _, e := range events {
-		if e.Level < journal.LevelWarn {
-			continue
-		}
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "[%s] %s/%s t=%d", e.Level, e.Layer, e.Name, e.TSim)
-		for _, f := range e.Fields {
-			fmt.Fprintf(&sb, " %s=%s", f.K, e.Get(f.K))
-		}
-		lines = append(lines, sb.String())
-		if len(lines) == maxExcerpt {
-			break
-		}
-	}
-	if len(lines) > 0 {
-		b.WriteString("<h3>Warnings and criticals</h3>\n<table><tr><th>event</th></tr>\n")
-		for _, l := range lines {
-			fmt.Fprintf(b, "<tr><td>%s</td></tr>\n", html.EscapeString(l))
-		}
-		b.WriteString("</table>\n")
-		if len(lines) == maxExcerpt {
-			fmt.Fprintf(b, "<p class=\"note\">Excerpt capped at %d events; see the journal file for the rest.</p>\n", maxExcerpt)
-		}
-	}
-}
-
 // ---- history ----------------------------------------------------------
 
 // sparkline renders values as a small inline polyline, oldest first.
@@ -596,13 +286,26 @@ func sparkline(values []float64) string {
 	return b.String()
 }
 
+// writeHistorySection draws a trend per headline figure over the runs
+// that share the newest run's configuration fingerprint and core count
+// (records from different setups are not comparable), and lists every
+// run.
 func writeHistorySection(b *strings.Builder, records []history.Record) {
-	b.WriteString("<h2>Cross-run history</h2>\n")
-	fmt.Fprintf(b, "<p class=\"note\">%d recorded runs (oldest first). Trends plot each headline figure across runs.</p>\n", len(records))
-
-	// Trend table: one row per headline key seen anywhere in history.
-	keys := map[string]bool{}
+	newest := records[len(records)-1]
+	var trend []history.Record
 	for _, r := range records {
+		if r.Fingerprint == newest.Fingerprint && r.NumCPU == newest.NumCPU {
+			trend = append(trend, r)
+		}
+	}
+	b.WriteString("<h2>Cross-run history</h2>\n")
+	fmt.Fprintf(b, "<p class=\"note\">%d recorded runs (oldest first). Trends plot each headline figure across the %d run(s) "+
+		"with the newest run's configuration (fingerprint %s, num_cpu %d); %d run(s) with another configuration are left out.</p>\n",
+		len(records), len(trend), html.EscapeString(newest.Fingerprint), newest.NumCPU, len(records)-len(trend))
+
+	// Trend table: one row per headline key seen in a trended run.
+	keys := map[string]bool{}
+	for _, r := range trend {
 		for k := range r.Headline {
 			keys[k] = true
 		}
@@ -616,13 +319,10 @@ func writeHistorySection(b *strings.Builder, records []history.Record) {
 		b.WriteString("<h3>Headline trends</h3>\n<table><tr><th>figure</th><th>trend</th><th>first</th><th>last</th><th>Δ</th></tr>\n")
 		for _, k := range names {
 			var vals []float64
-			for _, r := range records {
+			for _, r := range trend {
 				if v, ok := r.Headline[k]; ok {
 					vals = append(vals, v)
 				}
-			}
-			if len(vals) == 0 {
-				continue
 			}
 			first, last := vals[0], vals[len(vals)-1]
 			delta := "–"
@@ -642,11 +342,4 @@ func writeHistorySection(b *strings.Builder, records []history.Record) {
 			html.EscapeString(r.GoVersion), html.EscapeString(r.Seed), html.EscapeString(r.Fingerprint))
 	}
 	b.WriteString("</table>\n")
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

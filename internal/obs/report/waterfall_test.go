@@ -119,24 +119,3 @@ func TestHTMLWaterfallCap(t *testing.T) {
 
 // TestHTMLExemplarColumn: histograms with exemplars grow a column
 // linking the slowest bucket to a trace ID.
-func TestHTMLExemplarColumn(t *testing.T) {
-	d := Data{Metrics: &obs.Snapshot{
-		Histograms: []obs.HistogramValue{{
-			Name: "load.handshake_ns", Count: 2, Sum: 100,
-			Bounds:    []int64{10, 100},
-			Counts:    []int64{1, 1, 0},
-			Exemplars: []string{"", obs.TraceHex(0xbeef), ""},
-		}},
-	}}
-	var buf bytes.Buffer
-	if err := HTML(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	doc := buf.String()
-	if !strings.Contains(doc, "exemplar (slowest bucket)") {
-		t.Error("exemplar column header missing")
-	}
-	if !strings.Contains(doc, obs.TraceHex(0xbeef)) {
-		t.Error("exemplar trace ID missing")
-	}
-}

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +47,7 @@ const maxSeriesWindows = 1 << 16
 // per-window histogram merges with p50/p95/p99 derived from the fixed
 // bucket bounds — so the SLO engine can fire on trajectories ("retry
 // ratio rising over the last N windows") instead of only on end-of-run
-// totals, and msreport can draw per-metric timelines.
+// totals.
 //
 // Windows are keyed by the caller's clock. Simulation cmds tick with
 // SeriesTick(tSim) from a deterministic point (the fleet epoch
@@ -203,7 +200,8 @@ func seriesDiff(prev, cur *Snapshot) SeriesWindow {
 // window's value, histograms aggregate their per-window delta
 // count/sum. ok=false when fewer than n windows exist yet (burn-rate
 // rules stay silent until their slow window has real history) or the
-// metric was never seen. Shaped for slo.WindowLookup.
+// metric was never seen, and for n <= 0 (no run totals here). Shaped
+// for slo.Lookup.
 func (r *SeriesRecorder) WindowLookup(metric, agg string, n int) (float64, bool) {
 	if r == nil {
 		return 0, false
@@ -297,34 +295,6 @@ func (r *SeriesRecorder) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ReadSeries loads a JSONL series file written by -series (msreport's
-// -series input).
-func ReadSeries(path string) ([]SeriesWindow, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	defer f.Close()
-	var out []SeriesWindow
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var w SeriesWindow
-		if err := json.Unmarshal(line, &w); err != nil {
-			return nil, fmt.Errorf("obs: %s line %d: %w", path, len(out)+1, err)
-		}
-		out = append(out, w)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	return out, nil
 }
 
 // DefaultSeries is the process-wide recorder the CLI arms for -series.

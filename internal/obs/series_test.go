@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,6 +18,24 @@ func newArmedSeries(t *testing.T) (*Registry, *SeriesRecorder) {
 	r := &SeriesRecorder{}
 	r.Arm(reg, nil)
 	return reg, r
+}
+
+// readSeries decodes a -series JSONL file.
+func readSeries(t *testing.T, path string) []SeriesWindow {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []SeriesWindow
+	for dec := json.NewDecoder(bytes.NewReader(blob)); dec.More(); {
+		var w SeriesWindow
+		if err := dec.Decode(&w); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out = append(out, w)
+	}
+	return out
 }
 
 func TestSeriesWindowDeltasAndGauges(t *testing.T) {
@@ -175,11 +194,7 @@ func TestSeriesWriteReadRoundTrip(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSeries(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, r.Windows()) {
+	if got := readSeries(t, path); !reflect.DeepEqual(got, r.Windows()) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, r.Windows())
 	}
 }

@@ -2,14 +2,14 @@
 // "demand exceeded supply" moments (the Figure 3 processing gap, the
 // Figure 4 battery gap, retransmission energy overruns) expressed as
 // rules over metric snapshots instead of prose. Rules live in a JSON
-// file (see bench/slo_rules.json), are evaluated against flattened
-// metric values at intervals and at run end, and fire at most once per
-// run; the obs CLI turns firings into journal events, an exit code
-// (-slo-strict), and report tables.
+// file (see bench/slo_rules.json), are evaluated as each series window
+// is cut and at run end, and fire at most once per run; the obs CLI
+// turns firings into journal events, a stderr summary and an exit code
+// (-slo-strict).
 //
 // The package depends only on the standard library and knows nothing
-// about the metrics registry: callers supply a lookup function from
-// (metric, aggregation) to a float64. That keeps slo importable from
+// about the metrics registry: callers supply a Lookup from (metric,
+// aggregation, span) to a float64. That keeps slo importable from
 // anywhere without cycles.
 package slo
 
@@ -53,9 +53,7 @@ const (
 // the trailing Fast windows AND over the trailing Slow windows of the
 // time-series recorder, and fires only when both trip the threshold —
 // the fast window catches the trajectory early, the slow window keeps
-// one noisy interval from paging. Burn rules are evaluated by EvalBurn
-// as windows are cut (they need -series history) and are skipped by
-// Eval.
+// one noisy interval from paging. Burn rules need -series history.
 type Rule struct {
 	Name      string   `json:"name"`
 	Metric    string   `json:"metric"`
@@ -162,19 +160,16 @@ type Firing struct {
 	TSim      int64   // model step of the evaluation that caught it
 }
 
-// Lookup resolves a (metric, aggregation) pair to a value; ok=false
-// means the metric was not observed in this run.
-type Lookup func(metric, agg string) (float64, bool)
-
-// WindowLookup resolves a (metric, aggregation) pair over the trailing
-// n time-series windows; ok=false means the metric was never seen or
-// fewer than n windows exist yet (obs.SeriesRecorder.WindowLookup is the
-// canonical implementation).
-type WindowLookup func(metric, agg string, n int) (float64, bool)
+// Lookup resolves a (metric, aggregation) pair over a span: n == 0
+// asks for the run totals, n >= 1 for the trailing n series windows.
+// ok=false means the metric was not observed over that span, or the
+// span does not exist (fewer than n windows cut so far; run totals
+// while a window is being cut).
+type Lookup func(metric, agg string, n int) (float64, bool)
 
 // Engine evaluates a rule set against successive snapshots, firing each
-// rule at most once. Safe for concurrent use (the live HTTP server
-// evaluates on a ticker while the run thread evaluates at exit).
+// rule at most once. Safe for concurrent use (window cuts and the
+// run-end evaluation may come from different goroutines).
 type Engine struct {
 	rules []Rule
 
@@ -188,109 +183,53 @@ func NewEngine(rules []Rule) *Engine {
 	return &Engine{rules: rules, fired: make(map[string]bool)}
 }
 
-// Rules returns the engine's rule set.
-func (e *Engine) Rules() []Rule { return e.rules }
-
-// Eval checks every not-yet-fired plain rule against the lookup and
-// returns the rules that fired during this evaluation, in rule-file
-// order. Burn-rate rules are skipped (they need window history — see
-// EvalBurn), so a run without -series leaves them silent rather than
-// firing them on totals they were not written for.
+// Eval checks every not-yet-fired rule against lk and returns the
+// rules that fired during this evaluation, in rule-file order. A plain
+// rule checks the span {0} (run totals); a burn rule checks the spans
+// {Fast, Slow}. A rule fires when its expression (metric, or
+// metric/denom) trips the threshold over every span. A metric absent
+// from a span, or a zero denominator, skips the rule for this
+// evaluation, so burn rules stay silent while fewer than Slow windows
+// exist and plain rules stay silent at window cuts.
 func (e *Engine) Eval(tSim int64, lk Lookup) []Firing {
-	if e == nil {
+	if e == nil || lk == nil {
 		return nil
 	}
 	var fresh []Firing
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, r := range e.rules {
-		if e.fired[r.Name] || r.Burn != nil {
+		if e.fired[r.Name] {
 			continue
 		}
-		v, ok := lk(r.Metric, r.Agg)
-		if !ok {
-			continue
-		}
-		if r.Denom != "" {
-			d, ok := lk(r.Denom, r.Agg)
-			if !ok || d == 0 {
-				continue
-			}
-			v /= d
-		}
-		if validOps[r.Op](v, r.Threshold) {
-			f := Firing{Rule: r, Value: v, TSim: tSim}
-			e.fired[r.Name] = true
-			e.firings = append(e.firings, f)
-			fresh = append(fresh, f)
-		}
-	}
-	return fresh
-}
-
-// HasBurnRules reports whether the rule set contains any burn-rate
-// rules (whether the CLI needs to hang EvalBurn off window cuts).
-func (e *Engine) HasBurnRules() bool {
-	if e == nil {
-		return false
-	}
-	for _, r := range e.rules {
+		spans := []int{0}
 		if r.Burn != nil {
-			return true
+			spans = []int{r.Burn.Fast, r.Burn.Slow}
 		}
-	}
-	return false
-}
-
-// EvalBurn checks every not-yet-fired burn-rate rule against the
-// trailing-window lookup: the rule's expression is computed over the
-// fast window span and the slow window span, and fires only when both
-// trip the threshold. A metric absent from either span — including the
-// warm-up phase before slow windows of history exist — skips the rule
-// for this evaluation. Fired rules dedupe with Eval through the same
-// per-name state.
-func (e *Engine) EvalBurn(tSim int64, wlk WindowLookup) []Firing {
-	if e == nil || wlk == nil {
-		return nil
-	}
-	var fresh []Firing
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, r := range e.rules {
-		if r.Burn == nil || e.fired[r.Name] {
+		var vals [2]float64
+		tripped := true
+		for i, n := range spans {
+			v, ok := lk(r.Metric, r.Agg, n)
+			if ok && r.Denom != "" {
+				d, dok := lk(r.Denom, r.Agg, n)
+				ok = dok && d != 0
+				v /= d
+			}
+			if !ok || !validOps[r.Op](v, r.Threshold) {
+				tripped = false
+				break
+			}
+			vals[i] = v
+		}
+		if !tripped {
 			continue
 		}
-		fast, ok := e.windowValue(r, r.Burn.Fast, wlk)
-		if !ok || !validOps[r.Op](fast, r.Threshold) {
-			continue
-		}
-		slow, ok := e.windowValue(r, r.Burn.Slow, wlk)
-		if !ok || !validOps[r.Op](slow, r.Threshold) {
-			continue
-		}
-		f := Firing{Rule: r, Value: fast, SlowValue: slow, TSim: tSim}
+		f := Firing{Rule: r, Value: vals[0], SlowValue: vals[1], TSim: tSim}
 		e.fired[r.Name] = true
 		e.firings = append(e.firings, f)
 		fresh = append(fresh, f)
 	}
 	return fresh
-}
-
-// windowValue computes a rule's expression (metric, or metric/denom)
-// over the trailing n windows. Caller holds e.mu.
-func (e *Engine) windowValue(r Rule, n int, wlk WindowLookup) (float64, bool) {
-	v, ok := wlk(r.Metric, r.Agg, n)
-	if !ok {
-		return 0, false
-	}
-	if r.Denom != "" {
-		d, ok := wlk(r.Denom, r.Agg, n)
-		if !ok || d == 0 {
-			return 0, false
-		}
-		v /= d
-	}
-	return v, true
 }
 
 // Firings returns every firing so far, in firing order.

@@ -48,8 +48,13 @@ func TestParseTable(t *testing.T) {
 	}
 }
 
+// mapLookup answers run totals (span 0) from m, keyed "metric" or
+// "metric.agg"; it has no windows, like a run without -series.
 func mapLookup(m map[string]float64) Lookup {
-	return func(metric, agg string) (float64, bool) {
+	return func(metric, agg string, n int) (float64, bool) {
+		if n != 0 {
+			return 0, false
+		}
 		if agg != "" && agg != "value" {
 			metric += "." + agg
 		}
@@ -210,13 +215,14 @@ func TestParseBurnValidation(t *testing.T) {
 	}
 }
 
-// windowLookup builds a WindowLookup over a per-metric series of window
-// deltas: the trailing-n value is the sum of the last n entries, and a
-// request for more windows than exist answers ok=false (the ts
-// recorder's warm-up gate).
-func windowLookup(series map[string][]float64, have int) WindowLookup {
+// windowLookup builds a window-cut Lookup over a per-metric series of
+// window deltas: the trailing-n value is the sum of the last n entries,
+// a request for more windows than exist answers ok=false (the series
+// recorder's warm-up gate), and so does span 0 (no run totals while a
+// window is cut).
+func windowLookup(series map[string][]float64, have int) Lookup {
 	return func(metric, agg string, n int) (float64, bool) {
-		if n > have {
+		if n <= 0 || n > have {
 			return 0, false
 		}
 		s, ok := series[metric]
@@ -231,96 +237,97 @@ func windowLookup(series map[string][]float64, have int) WindowLookup {
 	}
 }
 
-func TestEvalBurn(t *testing.T) {
-	rules, err := Parse([]byte(`[
-	  {"name":"retry-burn","metric":"retries","denom":"ok","op":">","threshold":0.1,"severity":"warn","burn":{"fast":2,"slow":4}},
-	  {"name":"plain","metric":"retries","op":">","threshold":0,"severity":"warn"}
-	]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(rules)
-	if !e.HasBurnRules() {
-		t.Fatal("HasBurnRules = false")
-	}
-
-	// Warm-up: only 3 windows exist, slow=4 cannot be answered.
-	warm := map[string][]float64{
-		"retries": {9, 9, 9, 9},
-		"ok":      {10, 10, 10, 10},
-	}
-	if fired := e.EvalBurn(3, windowLookup(warm, 3)); len(fired) != 0 {
-		t.Fatalf("burn fired during warm-up: %+v", fired)
-	}
-
-	// Fast window hot but slow window still healthy: no fire (one noisy
-	// interval must not page).
-	spiky := map[string][]float64{
-		"retries": {0, 0, 2, 2}, // fast(2)=4/20=0.2 > 0.1; slow(4)=4/40=0.1 not > 0.1
-		"ok":      {10, 10, 10, 10},
-	}
-	if fired := e.EvalBurn(4, windowLookup(spiky, 4)); len(fired) != 0 {
-		t.Fatalf("burn fired on fast-only violation: %+v", fired)
-	}
-
-	// Both windows hot: fires once, with both values recorded.
-	hot := map[string][]float64{
-		"retries": {2, 2, 3, 3},
-		"ok":      {10, 10, 10, 10},
-	}
-	fired := e.EvalBurn(5, windowLookup(hot, 4))
-	if len(fired) != 1 {
-		t.Fatalf("got %d firings, want 1: %+v", len(fired), fired)
-	}
-	f := fired[0]
-	if f.Rule.Name != "retry-burn" || f.Value != 6.0/20 || f.SlowValue != 0.25 || f.TSim != 5 {
-		t.Fatalf("firing = %+v, want fast=0.3 slow=0.25 t=5", f)
-	}
-
-	// Dedupe across further window cuts.
-	if again := e.EvalBurn(6, windowLookup(hot, 4)); len(again) != 0 {
-		t.Fatalf("burn rule fired twice: %+v", again)
-	}
-
-	// EvalBurn never touches plain rules; Eval never touches burn rules.
-	if fired := e.Eval(7, mapLookup(map[string]float64{"retries": 100, "ok": 1})); len(fired) != 1 || fired[0].Rule.Name != "plain" {
-		t.Fatalf("Eval result = %+v, want only the plain rule", fired)
-	}
-	sum := Summary(e.Firings())
-	if !strings.Contains(sum, "over 2w/4w") {
-		t.Fatalf("summary %q missing burn window annotation", sum)
-	}
-	var burn Firing
-	for _, f := range e.Firings() {
-		if f.Rule.Name == "retry-burn" {
-			burn = f
+// runEndLookup is the run-end Lookup: totals for span 0, windows for
+// the rest.
+func runEndLookup(totals map[string]float64, series map[string][]float64, have int) Lookup {
+	wlk := windowLookup(series, have)
+	return func(metric, agg string, n int) (float64, bool) {
+		if n == 0 {
+			return mapLookup(totals)(metric, agg, 0)
 		}
-	}
-	want := Firing{Rule: rules[0], Value: 6.0 / 20, SlowValue: 0.25, TSim: 5}
-	if !reflect.DeepEqual(burn, want) {
-		t.Errorf("Firings() burn entry = %+v, want %+v", burn, want)
-	}
-	if b := burn.Rule.Burn; b == nil || b.Fast != 2 || b.Slow != 4 {
-		t.Errorf("burn windows = %+v, want fast 2 slow 4", b)
+		return wlk(metric, agg, n)
 	}
 }
 
-func TestEvalBurnSkipsZeroDenomAndNilLookup(t *testing.T) {
+// TestEvalBurn drives the one Eval through burn-rule cases, each a
+// sequence of evaluations on a fresh engine over the same rules.
+func TestEvalBurn(t *testing.T) {
 	rules, err := Parse([]byte(`[
-	  {"name":"b","metric":"m","denom":"d","op":">","threshold":0,"severity":"crit","burn":{"fast":1,"slow":2}}
+	  {"name":"retry-burn","metric":"retries","denom":"ok","op":">","threshold":0.1,"severity":"warn","burn":{"fast":2,"slow":4}},
+	  {"name":"plain","metric":"retries","op":">","threshold":0,"severity":"warn"},
+	  {"name":"crit-burn","metric":"m","denom":"d","op":">","threshold":0,"severity":"crit","burn":{"fast":1,"slow":2}}
 	]`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(rules)
-	if fired := e.EvalBurn(0, nil); fired != nil {
-		t.Fatalf("nil lookup fired: %+v", fired)
-	}
+	ok10 := []float64{10, 10, 10, 10}
+	// Every window at 0.9 retries per ok session.
+	warm := map[string][]float64{"retries": {9, 9, 9, 9}, "ok": ok10}
+	// fast(2) = 4/20 = 0.2 > 0.1, but slow(4) = 4/40 = 0.1 is not.
+	spiky := map[string][]float64{"retries": {0, 0, 2, 2}, "ok": ok10}
+	// fast(2) = 6/20 = 0.3, slow(4) = 10/40 = 0.25: both trip.
+	hot := map[string][]float64{"retries": {2, 2, 3, 3}, "ok": ok10}
 	zero := map[string][]float64{"m": {5, 5}, "d": {0, 0}}
-	if fired := e.EvalBurn(1, windowLookup(zero, 2)); len(fired) != 0 {
-		t.Fatalf("zero denom fired: %+v", fired)
+	totals := map[string]float64{"retries": 100, "ok": 1}
+
+	type step struct {
+		tSim int64
+		lk   Lookup
+		want []string // names of the rules that fire, in rule order
 	}
-	if e.CritCount() != 0 {
-		t.Fatal("crit recorded for skipped rule")
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		// Only 3 windows exist, so slow=4 cannot be answered.
+		{"warm-up skip", []step{{3, windowLookup(warm, 3), nil}}},
+		// One noisy interval must not page.
+		{"fast span only", []step{{4, windowLookup(spiky, 4), nil}}},
+		// Fires once; the plain rule stays silent at window cuts even
+		// though its metric is far over threshold in every window.
+		{"both spans", []step{
+			{5, windowLookup(hot, 4), []string{"retry-burn"}},
+			{6, windowLookup(hot, 4), nil},
+		}},
+		{"zero denominator", []step{{1, windowLookup(zero, 2), nil}}},
+		{"nil lookup", []step{{0, nil, nil}}},
+		// Firings dedupe by name across window cuts and run end: the
+		// run-end lookup answers both spans, and only the plain rule is
+		// new.
+		{"dedupe shared by plain and burn", []step{
+			{5, windowLookup(hot, 4), []string{"retry-burn"}},
+			{-1, runEndLookup(totals, hot, 4), []string{"plain"}},
+			{-1, runEndLookup(totals, hot, 4), nil},
+		}},
+		// Without windows (no -series) burn rules stay silent at run end.
+		{"run end without windows", []step{{-1, runEndLookup(totals, hot, 0), []string{"plain"}}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(rules)
+			for _, st := range tc.steps {
+				var got []string
+				for _, f := range e.Eval(st.tSim, st.lk) {
+					got = append(got, f.Rule.Name)
+				}
+				if !reflect.DeepEqual(got, st.want) {
+					t.Fatalf("Eval(%d) fired %q, want %q", st.tSim, got, st.want)
+				}
+			}
+			if e.CritCount() != 0 {
+				t.Fatal("crit recorded for a skipped rule")
+			}
+		})
+	}
+
+	// The burn firing records both span values and its windows.
+	e := NewEngine(rules)
+	e.Eval(5, windowLookup(hot, 4))
+	want := []Firing{{Rule: rules[0], Value: 6.0 / 20, SlowValue: 0.25, TSim: 5}}
+	if got := e.Firings(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Firings() = %+v, want %+v", got, want)
+	}
+	if sum := Summary(e.Firings()); !strings.Contains(sum, "over 2w/4w = 0.3/0.25 > 0.1") {
+		t.Fatalf("summary %q missing burn window annotation", sum)
 	}
 }
