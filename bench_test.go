@@ -8,6 +8,7 @@ package mobilesec
 
 import (
 	"bytes"
+	"io"
 	"math/big"
 	"testing"
 
@@ -332,6 +333,78 @@ func benchHandshakes(b *testing.B, clientCache, serverCache *SessionCache) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		handshake(i, resume)
+	}
+}
+
+// BenchmarkStackTxn is the composed-stack rung: one 1 KiB WTLS echo over
+// ESP, WEP and ARQ (window 8, 10 ms timer) on an in-memory pipe, the
+// paper's Figure 5 handset hierarchy. The lossy case drops 0.1 % of frames
+// and flips bits at BER 1e-5 under a fixed fault seed, so it also prices
+// ARQ recovery; retx/op reports the resent frames per echo.
+func BenchmarkStackTxn(b *testing.B) {
+	ca, err := NewCA("BenchRoot", NewDRBG([]byte("bench-ca")), 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key, err := GenerateRSAKey(NewDRBG([]byte("bench-server")), 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cert, err := ca.Issue("bench.example", 1, &key.PublicKey)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name      string
+		drop, ber float64
+	}{{"clean", 0, 0}, {"lossy", 0.001, 1e-5}} {
+		b.Run(bc.name, func(b *testing.B) {
+			pdaLink, gwLink := NewDuplexPipe()
+			pda, pdaARQ, _ := buildLossyStack(b, pdaLink, FaultConfig{Seed: 0x57ac1, Drop: bc.drop, BER: bc.ber}, "p2g", "g2p")
+			gw, gwARQ, _ := buildLossyStack(b, gwLink, FaultConfig{Seed: 0x57ac2, Drop: bc.drop, BER: bc.ber}, "g2p", "p2g")
+			defer pdaARQ.Close()
+			defer gwARQ.Close()
+			client := WTLSClient(pda.Top(), &Config{
+				Rand: NewDRBG([]byte("bench-handset")), RootCA: &ca.Key.PublicKey, ServerName: "bench.example",
+			})
+			server := WTLSServer(gw.Top(), &Config{
+				Rand: NewDRBG([]byte("bench-gateway")), Certificate: cert, PrivateKey: key,
+			})
+			go func() { // gateway: echo until the link closes
+				buf := make([]byte, 4096)
+				for {
+					n, err := server.Read(buf)
+					if err == nil {
+						_, err = server.Write(buf[:n])
+					}
+					if err != nil {
+						return
+					}
+				}
+			}()
+			if err := client.Handshake(); err != nil {
+				b.Fatal(err)
+			}
+			req := bytes.Repeat([]byte("txn:1.99;"), 114)[:1024]
+			reply := make([]byte, len(req))
+			retx0 := pdaARQ.Stats().Retransmits + gwARQ.Stats().Retransmits
+			b.SetBytes(int64(len(req)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := client.Write(req); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := io.ReadFull(client, reply); err != nil {
+					b.Fatal(err)
+				}
+				if !bytes.Equal(reply, req) {
+					b.Fatal("echo mismatch")
+				}
+			}
+			b.StopTimer()
+			retx := pdaARQ.Stats().Retransmits + gwARQ.Stats().Retransmits - retx0
+			b.ReportMetric(float64(retx)/float64(b.N), "retx/op")
+		})
 	}
 }
 

@@ -145,7 +145,7 @@ func run(benchRe, benchtime, pkg string, count int) (*Snapshot, string, error) {
 		BenchTime:   benchtime,
 		NumCPU:      runtime.NumCPU(),
 		Commit:      history.Commit(),
-		Fingerprint: history.Fingerprint(benchRe, benchtime, pkg, strconv.Itoa(count), runtime.GOOS, runtime.GOARCH),
+		Fingerprint: configFingerprint(benchtime, pkg, count),
 		Results:     map[string]Result{},
 	}
 	sc := bufio.NewScanner(&buf)
@@ -162,6 +162,13 @@ func run(benchRe, benchtime, pkg string, count int) (*Snapshot, string, error) {
 		return nil, buf.String(), fmt.Errorf("go test -bench: %w", runErr)
 	}
 	return snap, buf.String(), nil
+}
+
+// configFingerprint identifies the settings that change a benchmark's
+// numbers. The -bench regexp only picks which benchmarks run, so it is
+// left out: widening the list keeps one history series per setting.
+func configFingerprint(benchtime, pkg string, count int) string {
+	return history.Fingerprint(benchtime, pkg, strconv.Itoa(count), runtime.GOOS, runtime.GOARCH)
 }
 
 // parseLine parses a `go test -bench` result line such as

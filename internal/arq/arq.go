@@ -7,10 +7,11 @@
 // transmit energy the battery ledger must see. This layer supplies the
 // recovery machinery: CRC-32 frame checks, sequence numbers, cumulative
 // acks, a retransmit timer with exponential backoff, a configurable
-// sliding window (window 1 = classic stop-and-wait), and a typed
-// ErrLinkDown give-up so upper layers can degrade gracefully instead of
-// hanging. Retransmissions and acks are reported through the OnTransmit
-// and OnReceive hooks so radio.Radio / energy.Battery can charge them.
+// go-back-N sliding window (window 1 = classic stop-and-wait) with fast
+// retransmit on a duplicate ack, and a typed ErrLinkDown give-up so
+// upper layers can degrade gracefully instead of hanging.
+// Retransmissions and acks are reported through the OnTransmit and
+// OnReceive hooks so radio.Radio / energy.Battery can charge them.
 //
 // An Endpoint turns the lossy datagram link into a reliable byte stream:
 // Write blocks until the written bytes are acknowledged (or the link is
@@ -112,9 +113,13 @@ func (c Config) withDefaults() Config {
 // overhead; payload counters are application bytes.
 type Stats struct {
 	DataSent    int // first transmissions of DATA frames
-	Retransmits int // DATA frames sent again by the timer
+	Retransmits int // DATA frames sent again, by the timer or a fast retransmit
 	AcksSent    int
 	AcksRcvd    int
+
+	// FastRetransmits counts window resends a duplicate ack triggered
+	// before the timer expired; the frames they resend are in Retransmits.
+	FastRetransmits int
 
 	CRCErrors  int // inbound frames discarded (bad CRC, short, bad type)
 	Duplicates int // inbound DATA below the expected sequence (re-acked)
@@ -157,6 +162,12 @@ type Endpoint struct {
 	stats    Stats
 	err      error // terminal link error
 	closed   bool
+
+	// fastPending asks the sender to resend the window now: a duplicate
+	// ack reported sendBase missing. fastSpent allows one such resend per
+	// sendBase; an advance or a timer resend re-arms it.
+	fastPending bool
+	fastSpent   bool
 
 	ackCh chan struct{} // cap-1 wakeup for the sending side
 
@@ -228,14 +239,23 @@ func (e *Endpoint) handleFrame(raw []byte) {
 			e.mu.Unlock()
 			return
 		}
-		advanced := false
+		wake := false
 		for len(e.inflight) > 0 && seqLess(e.sendBase, seq) {
 			e.inflight = e.inflight[1:]
 			e.sendBase++
-			advanced = true
+			e.fastPending, e.fastSpent = false, false
+			wake = true
+		}
+		// A duplicate ack for sendBase while a later frame is in flight
+		// means that later frame arrived and sendBase did not: resend now
+		// rather than wait out the timer. Stop-and-wait never has a later
+		// frame in flight, so it never takes this path.
+		if !wake && seq == e.sendBase && len(e.inflight) > 1 && !e.fastSpent {
+			e.fastPending, e.fastSpent = true, true
+			wake = true
 		}
 		e.mu.Unlock()
-		if advanced {
+		if wake {
 			e.wakeSender()
 		}
 	case frameData:
@@ -337,11 +357,19 @@ func (e *Endpoint) sendAck(seq uint16) {
 	_ = e.transmit(frame, false) // an unsendable ack surfaces via e.err
 }
 
-// retransmitWindow resends every unacknowledged frame (go-back-N).
-func (e *Endpoint) retransmitWindow() error {
+// retransmitWindow resends every unacknowledged frame (go-back-N). fast
+// marks a resend asked for by a duplicate ack; a timer resend re-arms the
+// fast path for the current sendBase.
+func (e *Endpoint) retransmitWindow(fast bool) error {
 	e.mu.Lock()
 	pending := make([][]byte, len(e.inflight))
 	copy(pending, e.inflight)
+	e.fastPending = false
+	if !fast {
+		e.fastSpent = false
+	} else if len(pending) > 0 {
+		e.stats.FastRetransmits++
+	}
 	e.mu.Unlock()
 	for _, f := range pending {
 		if err := e.transmit(f, true); err != nil {
@@ -352,11 +380,17 @@ func (e *Endpoint) retransmitWindow() error {
 }
 
 // awaitAck blocks until ok (evaluated under the endpoint lock) holds,
-// retransmitting the window on timeout with exponential backoff and
-// declaring the link down after MaxRetries consecutive silent timeouts.
+// resending the window when a duplicate ack asks for it or the timer
+// expires. Only an advancing ack is progress: it restarts the timer and
+// resets the backoff. After MaxRetries consecutive timeouts without
+// progress the link is declared down.
 func (e *Endpoint) awaitAck(ok func() bool) error {
 	timeout := e.cfg.RetransmitTimeout
 	retries := 0
+	e.mu.Lock()
+	seq := e.sendBase
+	e.mu.Unlock()
+	armed := time.Now() // when the running timer started
 	for {
 		e.mu.Lock()
 		if e.err != nil {
@@ -368,28 +402,33 @@ func (e *Endpoint) awaitAck(ok func() bool) error {
 			e.mu.Unlock()
 			return io.ErrClosedPipe
 		}
-		if ok() {
+		if e.sendBase != seq {
+			seq = e.sendBase
+			retries = 0
+			timeout = e.cfg.RetransmitTimeout
+			armed = time.Now()
+		}
+		fast := e.fastPending
+		if !fast && ok() {
 			e.mu.Unlock()
 			return nil
 		}
-		seq := e.sendBase
 		e.mu.Unlock()
-
-		var tsp *obs.DSpan
-		var w0 int64
-		if tsp = e.tparent.Load(); tsp != nil {
-			w0 = obs.DTraceNowUS()
+		if fast {
+			if err := e.retransmitWindow(true); err != nil {
+				return err
+			}
+			continue
 		}
+
 		select {
 		case <-e.ackCh:
-			// Progress (or failure) — reset the backoff clock.
-			retries = 0
-			timeout = e.cfg.RetransmitTimeout
-		case <-time.After(timeout):
-			if tsp != nil {
+		case <-time.After(time.Until(armed.Add(timeout))):
+			if tsp := e.tparent.Load(); tsp != nil {
 				// Only timed-out waits become spans: an ack that arrives
 				// in time is progress, not backoff.
-				tsp.Event("arq", "backoff_wait", w0, obs.DTraceNowUS()-w0, timeout.Microseconds())
+				w := time.Since(armed).Microseconds()
+				tsp.Event("arq", "backoff_wait", obs.DTraceNowUS()-w, w, timeout.Microseconds())
 			}
 			retries++
 			if retries > e.cfg.MaxRetries {
@@ -401,10 +440,11 @@ func (e *Endpoint) awaitAck(ok func() bool) error {
 				e.fail(err)
 				return err
 			}
-			if err := e.retransmitWindow(); err != nil {
+			if err := e.retransmitWindow(false); err != nil {
 				return err
 			}
 			timeout = time.Duration(float64(timeout) * e.cfg.Backoff)
+			armed = time.Now()
 		}
 	}
 }

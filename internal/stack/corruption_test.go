@@ -40,16 +40,17 @@ func (w *wireTap) frames(t *testing.T) [][]byte {
 // replay re-serializes frames into a readable transport.
 func replay(t *testing.T, frames [][]byte) io.ReadWriter {
 	t.Helper()
-	var buf bytes.Buffer
+	var wire []byte
 	for _, f := range frames {
-		if err := writeFrame(&buf, f); err != nil {
+		var err error
+		if wire, err = appendFrame(wire, f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return &struct {
 		io.Reader
 		io.Writer
-	}{&buf, io.Discard}
+	}{bytes.NewReader(wire), io.Discard}
 }
 
 func newWEP(t *testing.T, key byte) Protector {
@@ -217,15 +218,13 @@ func TestCorruptFrameInLayeredStack(t *testing.T) {
 	}
 
 	frames := tap.frames(t)
-	// Each ESP frame crosses the WEP layer as two WEP frames (the 2-byte
-	// length header, then the body). Corrupt the WEP frame sealing the
-	// first ESP body — a whole framing unit is lost, so the next message
-	// stays parseable. (Losing a length header alone desynchronizes the
-	// upper framing; recovering from that is the ARQ layer's job.)
-	if len(frames) != 4 {
-		t.Fatalf("expected 4 wire frames, got %d", len(frames))
+	// Each ESP unit (length header and body) crosses the WEP layer as one
+	// WEP frame. Corrupt the WEP frame sealing the first ESP unit — the
+	// whole unit is lost, so the next message stays parseable.
+	if len(frames) != 2 {
+		t.Fatalf("expected 2 wire frames, got %d", len(frames))
 	}
-	frames[1][wep.IVLen+2] ^= 0x10
+	frames[0][wep.IVLen+2] ^= 0x10
 
 	bob := New(replay(t, frames))
 	wepB, err := wep.NewEndpoint([]byte{1, 2, 3, 4, 5}, wep.IVSequential)
@@ -252,5 +251,93 @@ func TestCorruptFrameInLayeredStack(t *testing.T) {
 	}
 	if string(buf[:n]) != "clean" {
 		t.Fatalf("got %q", buf[:n])
+	}
+}
+
+// countingWriter counts the lower Writes a layer makes.
+type countingWriter struct {
+	wireTap
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.wireTap.Write(p)
+}
+
+// TestOneLowerWritePerFrame: each framed unit — length header and sealed
+// frame — reaches the lower transport as exactly one Write, so over a
+// message-oriented lower layer (WEP, ARQ) a unit costs one lower message.
+func TestOneLowerWritePerFrame(t *testing.T) {
+	cw := &countingWriter{}
+	l, err := NewLayer("wep", cw, newWEP(t, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Write(bytes.Repeat([]byte{1}, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if cw.writes != 1 {
+		t.Fatalf("one-chunk Write made %d lower writes, want 1", cw.writes)
+	}
+	// A payload over maxFrame is sealed as three chunks: three writes.
+	if _, err := l.Write(make([]byte, 2*maxFrame+1)); err != nil {
+		t.Fatal(err)
+	}
+	if cw.writes != 4 {
+		t.Fatalf("three-chunk Write made %d more lower writes, want 3", cw.writes-1)
+	}
+	if n := len(cw.frames(t)); n != 4 {
+		t.Fatalf("wire holds %d framed units, want 4", n)
+	}
+}
+
+// TestReadsTwoWriteSegmentation: a sender that emits each ESP unit's
+// length header and body as two separate WEP frames (the framing before
+// units went out in one write) is still read correctly, so peers on
+// either side of that change interoperate.
+func TestReadsTwoWriteSegmentation(t *testing.T) {
+	tap := &wireTap{}
+	wepOut, err := NewLayer("wep", tap, newWEP(t, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	espOut := newESPPair(t, "x", "y")
+	msgs := []string{"header then body", "and again"}
+	for _, m := range msgs {
+		frame, err := espOut.Seal([]byte(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit, err := appendFrame(nil, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, part := range [][]byte{unit[:2], unit[2:]} {
+			if _, err := wepOut.Write(part); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	frames := tap.frames(t)
+	if len(frames) != 2*len(msgs) {
+		t.Fatalf("expected %d WEP frames, got %d", 2*len(msgs), len(frames))
+	}
+
+	bob := New(replay(t, frames))
+	if err := bob.Push("wep", newWEP(t, 1), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := bob.Push("esp", newESPPair(t, "y", "x"), 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range msgs {
+		buf := make([]byte, len(m))
+		if _, err := io.ReadFull(bob.Top(), buf); err != nil {
+			t.Fatal(err)
+		}
+		if string(buf) != m {
+			t.Fatalf("got %q, want %q", buf, m)
+		}
 	}
 }

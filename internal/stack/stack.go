@@ -28,7 +28,7 @@ type Protector interface {
 }
 
 // MaxWireFrame is the single bound on a framed unit as it crosses the
-// wire, enforced identically on both sides: writeFrame refuses to emit a
+// wire, enforced identically on both sides: appendFrame refuses to emit a
 // larger frame and readFrame refuses to accept one. (The 2-byte length
 // header could describe up to 0xffff bytes; anything above MaxWireFrame
 // is treated as a framing error, not a frame.)
@@ -50,7 +50,8 @@ type Layer struct {
 	prot         Protector
 	perByteInstr float64
 
-	readBuf []byte
+	readBuf  []byte
+	writeBuf []byte // one framed unit, reused across Writes
 
 	payloadOut, payloadIn int
 	frameOut, frameIn     int
@@ -69,7 +70,10 @@ func NewLayer(name string, lower io.ReadWriter, p Protector, perByteInstr float6
 // Name returns the layer's name.
 func (l *Layer) Name() string { return l.name }
 
-// Write seals p into frames on the lower transport.
+// Write seals p into frames on the lower transport, each framed unit
+// (length header and sealed frame) in one lower Write: over a message-
+// oriented lower layer one unit then costs one lower message, and over
+// ARQ one acknowledged Write.
 func (l *Layer) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
@@ -81,7 +85,12 @@ func (l *Layer) Write(p []byte) (int, error) {
 		if err != nil {
 			return total, fmt.Errorf("stack/%s: seal: %w", l.name, err)
 		}
-		if err := writeFrame(l.lower, frame); err != nil {
+		unit, err := appendFrame(l.writeBuf[:0], frame)
+		if err != nil {
+			return total, err
+		}
+		l.writeBuf = unit
+		if _, err := l.lower.Write(unit); err != nil {
 			return total, err
 		}
 		l.payloadOut += n
@@ -132,18 +141,17 @@ func (l *Layer) Stats() Stats {
 	}
 }
 
-func writeFrame(w io.Writer, frame []byte) error {
+// appendFrame appends frame behind its 2-byte length header to dst.
+func appendFrame(dst, frame []byte) ([]byte, error) {
 	if len(frame) > MaxWireFrame {
-		return fmt.Errorf("stack: outbound frame %d bytes exceeds MaxWireFrame %d", len(frame), MaxWireFrame)
+		return dst, fmt.Errorf("stack: outbound frame %d bytes exceeds MaxWireFrame %d", len(frame), MaxWireFrame)
 	}
-	hdr := []byte{byte(len(frame) >> 8), byte(len(frame))}
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(frame)
-	return err
+	dst = append(dst, byte(len(frame)>>8), byte(len(frame)))
+	return append(dst, frame...), nil
 }
 
+// readFrame reads one framed unit. It reads the header and body as a
+// byte stream, so it accepts a unit however the sender segmented it.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [2]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -307,8 +307,7 @@ func TestReadFrameErrors(t *testing.T) {
 	if _, err := readFrame(bytes.NewReader([]byte{0x00, 0x05, 1, 2})); err == nil {
 		t.Fatal("accepted truncated body")
 	}
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, 0x10000)); err == nil {
+	if _, err := appendFrame(nil, make([]byte, 0x10000)); err == nil {
 		t.Fatal("accepted oversized frame")
 	}
 }
@@ -318,16 +317,16 @@ func TestReadFrameErrors(t *testing.T) {
 // before any allocation, with an error naming the bound.
 func TestFrameBoundSymmetric(t *testing.T) {
 	// Outbound: exactly MaxWireFrame is fine, one more is not.
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, MaxWireFrame)); err != nil {
+	unit, err := appendFrame(nil, make([]byte, MaxWireFrame))
+	if err != nil {
 		t.Fatalf("rejected frame at the bound: %v", err)
 	}
-	if err := writeFrame(&buf, make([]byte, MaxWireFrame+1)); err == nil ||
+	if _, err := appendFrame(nil, make([]byte, MaxWireFrame+1)); err == nil ||
 		!strings.Contains(err.Error(), "MaxWireFrame") {
 		t.Fatalf("oversized outbound frame: %v", err)
 	}
 	// Inbound: the frame written at the bound reads back.
-	frame, err := readFrame(&buf)
+	frame, err := readFrame(bytes.NewReader(unit))
 	if err != nil || len(frame) != MaxWireFrame {
 		t.Fatalf("frame at bound did not read back: %d, %v", len(frame), err)
 	}

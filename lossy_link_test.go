@@ -25,13 +25,9 @@ import (
 // buildLossyStack wraps one pipe end in a seeded fault injector, then
 // layers ARQ + WEP + ESP over it — the paper's Figure 5 hierarchy with a
 // reliability layer under the ciphers.
-func buildLossyStack(t *testing.T, link io.ReadWriteCloser, seed int64, tx, rx string) (*Stack, *ARQEndpoint, *FaultyTransport) {
+func buildLossyStack(t testing.TB, link io.ReadWriteCloser, faults FaultConfig, tx, rx string) (*Stack, *ARQEndpoint, *FaultyTransport) {
 	t.Helper()
-	ft, err := NewFaultyTransport(link, FaultConfig{
-		Seed: seed,
-		Drop: 0.01, // 1% frame loss
-		BER:  1e-4, // one flipped bit per 10 kbit
-	})
+	ft, err := NewFaultyTransport(link, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +68,10 @@ func buildLossyStack(t *testing.T, link io.ReadWriteCloser, seed int64, tx, rx s
 
 func TestWTLSOverLossyLink(t *testing.T) {
 	pdaLink, gwLink := NewDuplexPipe()
-	pdaStack, pdaARQ, pdaFT := buildLossyStack(t, pdaLink, 0x10551, "p2g", "g2p")
-	gwStack, gwARQ, gwFT := buildLossyStack(t, gwLink, 0x10552, "g2p", "p2g")
+	// 1% frame loss, one flipped bit per 10 kbit.
+	lossy := func(seed int64) FaultConfig { return FaultConfig{Seed: seed, Drop: 0.01, BER: 1e-4} }
+	pdaStack, pdaARQ, pdaFT := buildLossyStack(t, pdaLink, lossy(0x10551), "p2g", "g2p")
+	gwStack, gwARQ, gwFT := buildLossyStack(t, gwLink, lossy(0x10552), "g2p", "p2g")
 	defer pdaARQ.Close()
 	defer gwARQ.Close()
 
