@@ -336,8 +336,8 @@ func benchHandshakes(b *testing.B, clientCache, serverCache *SessionCache) {
 	}
 }
 
-// BenchmarkStackTxn is the composed-stack rung: one 1 KiB WTLS echo over
-// ESP, WEP and ARQ (window 8, 10 ms timer) on an in-memory pipe, the
+// BenchmarkStackTxn is the composed-stack rung: one 1 KiB 3DES WTLS echo
+// over ESP, WEP and ARQ (window 8, 10 ms timer) on an in-memory pipe, the
 // paper's Figure 5 handset hierarchy. The lossy case drops 0.1 % of frames
 // and flips bits at BER 1e-5 under a fixed fault seed, so it also prices
 // ARQ recovery; retx/op reports the resent frames per echo.
@@ -366,6 +366,7 @@ func BenchmarkStackTxn(b *testing.B) {
 			defer gwARQ.Close()
 			client := WTLSClient(pda.Top(), &Config{
 				Rand: NewDRBG([]byte("bench-handset")), RootCA: &ca.Key.PublicKey, ServerName: "bench.example",
+				Suites: []uint16{0x000A}, // RSA_WITH_3DES_EDE_CBC_SHA, as perfbench stack-lossy pins
 			})
 			server := WTLSServer(gw.Top(), &Config{
 				Rand: NewDRBG([]byte("bench-gateway")), Certificate: cert, PrivateKey: key,

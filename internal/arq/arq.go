@@ -8,8 +8,11 @@
 // recovery machinery: CRC-32 frame checks, sequence numbers, cumulative
 // acks, a retransmit timer with exponential backoff, a configurable
 // go-back-N sliding window (window 1 = classic stop-and-wait) with fast
-// retransmit on a duplicate ack, and a typed ErrLinkDown give-up so
-// upper layers can degrade gracefully instead of hanging.
+// retransmit on a duplicate ack or on a NAK (a receiver's report that it
+// discarded a frame it could not read), and a typed ErrLinkDown give-up
+// so upper layers can degrade gracefully instead of hanging. Only a
+// go-back-N endpoint sends or acts on NAKs; stop-and-wait recovers by
+// the timer alone.
 // Retransmissions and acks are reported through the OnTransmit and
 // OnReceive hooks so radio.Radio / energy.Battery can charge them.
 //
@@ -84,7 +87,7 @@ type Config struct {
 
 	// OnTransmit, when set, observes every frame put on the wire: its
 	// length in bytes (ARQ header and CRC included) and whether it is a
-	// retransmission. Acks report retransmit=false.
+	// retransmission. Acks and NAKs report retransmit=false.
 	OnTransmit func(bytes int, retransmit bool)
 	// OnReceive, when set, observes every frame taken off the wire.
 	OnReceive func(bytes int)
@@ -117,9 +120,16 @@ type Stats struct {
 	AcksSent    int
 	AcksRcvd    int
 
-	// FastRetransmits counts window resends a duplicate ack triggered
-	// before the timer expired; the frames they resend are in Retransmits.
+	// FastRetransmits counts window resends a duplicate ack or a NAK
+	// triggered before the timer expired; the frames they resend are in
+	// Retransmits.
 	FastRetransmits int
+
+	// NaksSent counts NAKs this end sent for inbound frames it discarded
+	// (at most MaxRetries per expected sequence); NaksRcvd counts NAKs
+	// read from the peer, whether or not they drew a resend.
+	NaksSent int
+	NaksRcvd int
 
 	CRCErrors  int // inbound frames discarded (bad CRC, short, bad type)
 	Duplicates int // inbound DATA below the expected sequence (re-acked)
@@ -164,10 +174,15 @@ type Endpoint struct {
 	closed   bool
 
 	// fastPending asks the sender to resend the window now: a duplicate
-	// ack reported sendBase missing. fastSpent allows one such resend per
-	// sendBase; an advance or a timer resend re-arms it.
+	// ack or a NAK reported sendBase missing. fastSpent allows one
+	// duplicate-ack resend per sendBase; an advance or a timer resend
+	// re-arms it. nakResends counts NAK-driven resends of sendBase and
+	// naksSent the NAKs sent for rcvNext; each is capped at MaxRetries
+	// and reset when its sequence advances.
 	fastPending bool
 	fastSpent   bool
+	nakResends  int
+	naksSent    int
 
 	ackCh chan struct{} // cap-1 wakeup for the sending side
 
@@ -221,10 +236,22 @@ func (e *Endpoint) recvLoop() {
 func (e *Endpoint) handleFrame(raw []byte) {
 	typ, seq, payload, err := parseFrame(raw)
 	if err != nil {
+		// A go-back-N receiver NAKs the frame it had to throw away, so a
+		// corrupted last frame of a write, with nothing behind it to draw
+		// a duplicate ack, need not wait out the sender's timer.
 		e.mu.Lock()
 		e.stats.CRCErrors++
+		nak := e.cfg.Window > 1 && e.naksSent < e.cfg.MaxRetries
+		if nak {
+			e.naksSent++
+			e.stats.NaksSent++
+		}
+		expect := e.rcvNext
 		e.mu.Unlock()
 		mCRCErrors.Inc()
+		if nak {
+			_ = e.transmit(encodeFrame(frameNak, expect, nil), false) // an unsendable NAK surfaces via e.err
+		}
 		return
 	}
 	switch typ {
@@ -243,7 +270,7 @@ func (e *Endpoint) handleFrame(raw []byte) {
 		for len(e.inflight) > 0 && seqLess(e.sendBase, seq) {
 			e.inflight = e.inflight[1:]
 			e.sendBase++
-			e.fastPending, e.fastSpent = false, false
+			e.fastPending, e.fastSpent, e.nakResends = false, false, 0
 			wake = true
 		}
 		// A duplicate ack for sendBase while a later frame is in flight
@@ -258,6 +285,25 @@ func (e *Endpoint) handleFrame(raw []byte) {
 		if wake {
 			e.wakeSender()
 		}
+	case frameNak:
+		// The peer discarded a frame while expecting sendBase: resend the
+		// window now, up to MaxRetries times per sendBase so a resend
+		// that is itself corrupted can be NAKed again. Like a duplicate
+		// ack, a NAK is not progress.
+		e.mu.Lock()
+		e.stats.NaksRcvd++
+		resend := e.cfg.Window > 1 && seq == e.sendBase && len(e.inflight) > 0 &&
+			e.nakResends < e.cfg.MaxRetries
+		if resend {
+			// The resend also answers the duplicate acks the frames
+			// behind the discarded one are about to draw.
+			e.fastPending, e.fastSpent = true, true
+			e.nakResends++
+		}
+		e.mu.Unlock()
+		if resend {
+			e.wakeSender()
+		}
 	case frameData:
 		e.mu.Lock()
 		switch {
@@ -265,6 +311,7 @@ func (e *Endpoint) handleFrame(raw []byte) {
 			e.rcvBuf = append(e.rcvBuf, payload...)
 			e.stats.PayloadIn += len(payload)
 			e.rcvNext++
+			e.naksSent = 0
 			e.readable.Broadcast()
 		case seqLess(seq, e.rcvNext):
 			e.stats.Duplicates++
@@ -380,10 +427,10 @@ func (e *Endpoint) retransmitWindow(fast bool) error {
 }
 
 // awaitAck blocks until ok (evaluated under the endpoint lock) holds,
-// resending the window when a duplicate ack asks for it or the timer
-// expires. Only an advancing ack is progress: it restarts the timer and
-// resets the backoff. After MaxRetries consecutive timeouts without
-// progress the link is declared down.
+// resending the window when a duplicate ack or a NAK asks for it or the
+// timer expires. Only an advancing ack is progress: it restarts the
+// timer and resets the backoff. After MaxRetries consecutive timeouts
+// without progress the link is declared down.
 func (e *Endpoint) awaitAck(ok func() bool) error {
 	timeout := e.cfg.RetransmitTimeout
 	retries := 0
@@ -391,6 +438,15 @@ func (e *Endpoint) awaitAck(ok func() bool) error {
 	seq := e.sendBase
 	e.mu.Unlock()
 	armed := time.Now() // when the running timer started
+	// One timer serves every wait of this call, made on the first wait
+	// that blocks and stopped on return, so an ack that lands in time
+	// leaves no pending timer behind.
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	for {
 		e.mu.Lock()
 		if e.err != nil {
@@ -421,9 +477,14 @@ func (e *Endpoint) awaitAck(ok func() bool) error {
 			continue
 		}
 
+		if wait := time.Until(armed.Add(timeout)); timer == nil {
+			timer = time.NewTimer(wait)
+		} else {
+			resetTimer(timer, wait)
+		}
 		select {
 		case <-e.ackCh:
-		case <-time.After(time.Until(armed.Add(timeout))):
+		case <-timer.C:
 			if tsp := e.tparent.Load(); tsp != nil {
 				// Only timed-out waits become spans: an ack that arrives
 				// in time is progress, not backoff.
@@ -447,6 +508,21 @@ func (e *Endpoint) awaitAck(ok func() bool) error {
 			armed = time.Now()
 		}
 	}
+}
+
+// resetTimer re-arms t to fire after d. Under the pre-Go 1.23 timer
+// semantics this module builds with (go 1.22 in go.mod), a tick that
+// fired but was never read stays in t.C and Reset does not discard it,
+// so Stop and drain it first. The drain is a no-op under the newer
+// semantics.
+func resetTimer(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // Write chunks p into DATA frames, transmits them under the sliding

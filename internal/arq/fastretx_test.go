@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"sync"
 	"testing"
@@ -14,35 +15,46 @@ import (
 	"repro/internal/stack"
 )
 
-// seqDropper is a fault-free datagram link that silently drops the DATA
-// frames drop picks by sequence number and copy number (0 for the first
-// transmission), so a loss lands on a chosen frame rather than on
-// whatever a random schedule and goroutine timing happen to hit.
-type seqDropper struct {
+// seqFaulter is a fault-free datagram link that silently drops, or
+// corrupts in its CRC, the DATA frames drop or corrupt picks by sequence
+// number and copy number (0 for the first transmission), so a fault
+// lands on a chosen frame rather than on whatever a random schedule and
+// goroutine timing happen to hit. Either picker may be nil.
+type seqFaulter struct {
 	io.ReadWriteCloser
-	drop func(seq uint16, nth int) bool
+	drop, corrupt func(seq uint16, nth int) bool
 
 	mu   sync.Mutex
 	seen map[uint16]int
 }
 
-func (d *seqDropper) Write(p []byte) (int, error) {
+func (d *seqFaulter) Write(p []byte) (int, error) {
 	if len(p) >= 3 && p[0] == 'D' { // DATA frame: type | seq(2 BE) | ...
 		seq := binary.BigEndian.Uint16(p[1:3])
 		d.mu.Lock()
 		n := d.seen[seq]
 		d.seen[seq]++
 		d.mu.Unlock()
-		if d.drop(seq, n) {
+		if d.drop != nil && d.drop(seq, n) {
 			return len(p), nil
+		}
+		if d.corrupt != nil && d.corrupt(seq, n) {
+			return d.ReadWriteCloser.Write(flipLastBit(p))
 		}
 	}
 	return d.ReadWriteCloser.Write(p)
 }
 
-// droppingLink joins two endpoints; frames ea sends pass through drop,
+// flipLastBit returns a copy of frame with one bit of its CRC flipped.
+func flipLastBit(frame []byte) []byte {
+	c := append([]byte(nil), frame...)
+	c[len(c)-1] ^= 1
+	return c
+}
+
+// faultyLink joins two endpoints; frames ea sends pass through f,
 // frames eb sends all arrive.
-func droppingLink(t *testing.T, cfg arq.Config, drop func(seq uint16, nth int) bool) (ea, eb *arq.Endpoint) {
+func faultyLink(t *testing.T, cfg arq.Config, f *seqFaulter) (ea, eb *arq.Endpoint) {
 	t.Helper()
 	a, b := stack.Pipe()
 	ta, err := chaos.New(a, chaos.Config{})
@@ -53,7 +65,8 @@ func droppingLink(t *testing.T, cfg arq.Config, drop func(seq uint16, nth int) b
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ea, err = arq.New(&seqDropper{ReadWriteCloser: ta, drop: drop, seen: map[uint16]int{}}, cfg); err != nil {
+	f.ReadWriteCloser, f.seen = ta, map[uint16]int{}
+	if ea, err = arq.New(f, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if eb, err = arq.New(tb, cfg); err != nil {
@@ -61,6 +74,12 @@ func droppingLink(t *testing.T, cfg arq.Config, drop func(seq uint16, nth int) b
 	}
 	t.Cleanup(func() { ea.Close(); eb.Close() })
 	return ea, eb
+}
+
+// droppingLink is a faultyLink that drops the frames drop picks.
+func droppingLink(t *testing.T, cfg arq.Config, drop func(seq uint16, nth int) bool) (ea, eb *arq.Endpoint) {
+	t.Helper()
+	return faultyLink(t, cfg, &seqFaulter{drop: drop})
 }
 
 // pattern returns n bytes that differ from frame to frame.
@@ -160,6 +179,190 @@ func TestStopAndWaitNeverFastRetransmits(t *testing.T) {
 	}
 	if st.FastRetransmits != 0 || eb.Stats().FastRetransmits != 0 {
 		t.Fatalf("stop-and-wait fast-retransmitted: %+v / %+v", st, eb.Stats())
+	}
+	// Corrupted frames reach both ends, yet neither NAKs them.
+	if st.CRCErrors+eb.Stats().CRCErrors == 0 {
+		t.Fatalf("lossy link corrupted no frames: %+v / %+v", st, eb.Stats())
+	}
+	for _, s := range []arq.Stats{st, eb.Stats()} {
+		if s.NaksSent != 0 || s.NaksRcvd != 0 {
+			t.Fatalf("stop-and-wait sent or received NAKs: %+v", s)
+		}
+	}
+}
+
+// TestNakBeatsTimerOnCorruptedLastFrame: the last DATA frame of a write,
+// corrupted once, has no later frame behind it to draw a duplicate ack.
+// The receiver NAKs the frame it discarded, so Write returns in a small
+// fraction of a 1 s retransmit timeout.
+func TestNakBeatsTimerOnCorruptedLastFrame(t *testing.T) {
+	const rto = time.Second
+	cfg := arq.Config{Window: 8, RetransmitTimeout: rto}
+	msg := pattern(5 * 240) // five full frames, seq 0..4
+	ea, eb := faultyLink(t, cfg, &seqFaulter{corrupt: func(seq uint16, nth int) bool { return seq == 4 && nth == 0 }})
+	got := make(chan []byte, 1)
+	go func() {
+		buf := make([]byte, len(msg))
+		io.ReadFull(eb, buf) //nolint:errcheck
+		got <- buf
+	}()
+	start := time.Now()
+	if _, err := ea.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > rto/4 {
+		t.Fatalf("Write took %v: the corrupted last frame waited for the %v timer", el, rto)
+	}
+	if !bytes.Equal(<-got, msg) {
+		t.Fatal("payload corrupted")
+	}
+	sa, sb := ea.Stats(), eb.Stats()
+	if sb.CRCErrors != 1 || sb.NaksSent != 1 || sa.NaksRcvd != 1 {
+		t.Fatalf("want one discarded frame, one NAK sent and received: sender %+v, receiver %+v", sa, sb)
+	}
+	if sa.FastRetransmits != 1 || sa.Retransmits != 1 {
+		t.Fatalf("want one resend of the last frame alone: %+v", sa)
+	}
+}
+
+// corruptAll is a datagram link that flips a CRC bit in every frame
+// written through it.
+type corruptAll struct{ io.ReadWriteCloser }
+
+func (c corruptAll) Write(p []byte) (int, error) { return c.ReadWriteCloser.Write(flipLastBit(p)) }
+
+// TestNaksBoundedOnAllCorruptLink: when every frame in both directions
+// arrives corrupted, NAKs answer data and NAKs alike, yet each side sends
+// at most MaxRetries of them while its expected sequence stands still,
+// the resends stay those of the timer, and the link still goes down after
+// MaxRetries timeouts.
+func TestNaksBoundedOnAllCorruptLink(t *testing.T) {
+	const rto = 5 * time.Millisecond
+	cfg := arq.Config{Window: 8, RetransmitTimeout: rto, Backoff: 1, MaxRetries: 5}
+	a, b := stack.Pipe()
+	ta, err := chaos.New(a, chaos.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := chaos.New(b, chaos.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ea, err := arq.New(corruptAll{ta}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := arq.New(corruptAll{tb}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ea.Close(); eb.Close() })
+
+	const frames = 5
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := ea.Write(pattern(frames * 240))
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("NAKs kept the link up: no give-up after 5s")
+	}
+	if !errors.Is(err, arq.ErrLinkDown) {
+		t.Fatalf("want ErrLinkDown, got %v", err)
+	}
+	if floor := time.Duration(cfg.MaxRetries+1) * rto; time.Since(start) < floor {
+		t.Fatalf("link down after %v, before %d timeouts (%v)", time.Since(start), cfg.MaxRetries+1, floor)
+	}
+	sa, sb := ea.Stats(), eb.Stats()
+	t.Logf("sender %+v\nreceiver %+v", sa, sb)
+	for _, s := range []arq.Stats{sa, sb} {
+		if s.NaksSent > cfg.MaxRetries {
+			t.Fatalf("NaksSent = %d, want <= %d for one expected sequence: %+v", s.NaksSent, cfg.MaxRetries, s)
+		}
+	}
+	if sa.NaksSent == 0 || sb.NaksSent == 0 {
+		t.Fatalf("a side sent no NAKs for its discarded frames: %+v / %+v", sa, sb)
+	}
+	if sa.FastRetransmits > cfg.MaxRetries {
+		t.Fatalf("FastRetransmits = %d, want <= %d", sa.FastRetransmits, cfg.MaxRetries)
+	}
+	// The timer alone resends the whole write MaxRetries times.
+	if limit := cfg.MaxRetries * frames; sa.Retransmits > limit {
+		t.Fatalf("Retransmits = %d, want <= %d", sa.Retransmits, limit)
+	}
+}
+
+// nakFrame encodes a NAK naming seq, as the receiver sends it.
+func nakFrame(seq uint16) []byte {
+	f := []byte{'N', byte(seq >> 8), byte(seq)}
+	return binary.BigEndian.AppendUint32(f, crc32.ChecksumIEEE(f))
+}
+
+// TestNakFloodBoundedResends: a peer that answers a write with a flood of
+// NAKs, for sendBase and for other sequences, draws at most MaxRetries
+// window resends from it.
+func TestNakFloodBoundedResends(t *testing.T) {
+	cfg := arq.Config{Window: 8, RetransmitTimeout: 10 * time.Second, MaxRetries: 3}
+	a, b := stack.Pipe()
+	ta, err := chaos.New(a, chaos.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := chaos.New(b, chaos.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ea, err := arq.New(ta, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ea.Close(); peer.Close() })
+
+	const frames = 4
+	done := make(chan error, 1)
+	go func() {
+		_, err := ea.Write(pattern(frames * 240))
+		done <- err
+	}()
+	// Read the write's first transmission, then flood.
+	buf := make([]byte, 512)
+	for i := 0; i < frames; i++ {
+		if _, err := peer.Read(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go io.Copy(io.Discard, peer) //nolint:errcheck
+	// Paced, so the sender acts on each NAK rather than on one pending
+	// resend that a burst of NAKs folds into.
+	const flood = 50
+	for i := 0; i < flood; i++ {
+		for _, seq := range []uint16{0, 1, 9} {
+			if _, err := peer.Write(nakFrame(seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for ea.Stats().NaksRcvd < 3*flood {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d NAKs read", ea.Stats().NaksRcvd, 3*flood)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ea.Close()
+	if err := <-done; err == nil {
+		t.Fatal("Write returned without an ack")
+	}
+	st := ea.Stats()
+	if st.FastRetransmits < 1 || st.FastRetransmits > cfg.MaxRetries {
+		t.Fatalf("FastRetransmits = %d, want 1..%d: %+v", st.FastRetransmits, cfg.MaxRetries, st)
+	}
+	if limit := cfg.MaxRetries * frames; st.Retransmits > limit {
+		t.Fatalf("Retransmits = %d, want <= %d: %+v", st.Retransmits, limit, st)
 	}
 }
 

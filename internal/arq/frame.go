@@ -14,9 +14,13 @@ import (
 // The CRC-32 (IEEE) covers type, seq and payload. DATA frames carry
 // application bytes under a sequence number; ACK frames carry the
 // receiver's cumulative next-expected sequence number and no payload.
+// NAK frames are laid out like ACKs: a go-back-N receiver sends one when
+// it discards a frame it cannot read, naming the sequence it still
+// expects.
 const (
 	frameData = 0x44 // 'D'
 	frameAck  = 0x41 // 'A'
+	frameNak  = 0x4E // 'N'
 
 	headerLen  = 3
 	trailerLen = 4
@@ -58,12 +62,12 @@ func parseFrame(f []byte) (typ byte, seq uint16, payload []byte, err error) {
 		return 0, 0, nil, ErrBadCRC
 	}
 	typ = f[0]
-	if typ != frameData && typ != frameAck {
+	if typ != frameData && typ != frameAck && typ != frameNak {
 		return 0, 0, nil, fmt.Errorf("%w %#02x", ErrBadType, typ)
 	}
 	seq = binary.BigEndian.Uint16(f[1:3])
-	if typ == frameAck && len(f) != overhead {
-		return 0, 0, nil, fmt.Errorf("arq: ack with %d payload bytes", len(f)-overhead)
+	if typ != frameData && len(f) != overhead {
+		return 0, 0, nil, fmt.Errorf("arq: %c frame with %d payload bytes", typ, len(f)-overhead)
 	}
 	return typ, seq, body[headerLen:], nil
 }
