@@ -21,12 +21,13 @@ import (
 func main() {
 	drop := flag.Float64("drop", 0.01, "BER-independent frame drop probability")
 	bers := flag.String("bers", "", "comma-separated BER axis (default the built-in ladder)")
-	simulate := flag.Bool("simulate", true, "cross-check by driving a real chaos+ARQ link")
+	simulate := flag.Bool("simulate", true,
+		"cross-check by driving a real chaos+ARQ link; its goroutines run under real ARQ timers, so its table can differ between runs (the analytic figure cannot)")
 	perPoint := flag.Int("n", 10, "transactions simulated per BER point")
 	seed := flag.Int64("seed", 1, "fault-schedule seed for the simulation")
 	csv := flag.Bool("csv", false, "emit the analytic figure as CSV and exit")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"sweep worker count; output is identical at any value, 1 runs sequentially")
+		"sweep worker count; -simulate=false output is identical at any value, 1 runs sequentially")
 	o := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 	par.SetDefaultWorkers(*workers)

@@ -9,6 +9,8 @@
 //
 // Every block runs one round engine (fast.go) with packed round keys and
 // table-free IP/FP; a 3DES block costs one IP, 48 rounds and one FP.
+// DecryptBlocks runs two independent blocks per pass, which CBC
+// decryption uses.
 //
 // The package additionally exposes the round internals (Feistel function,
 // S-box lookups) needed by internal/attack/dpa to mount a first-round
@@ -70,19 +72,6 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 // step.
 func (c *Cipher) Subkey(i int) uint64 { return c.keys[i].unpack() }
 
-func (c *Cipher) expandKey(key []byte) {
-	k := bitutil.Load64(key)
-	cd := bitutil.PermuteBlock(k, permutedChoice1, 64) // 56 bits
-	cHalf := uint32(cd >> 28)
-	dHalf := uint32(cd & (1<<28 - 1))
-	for i, shift := range keyShifts {
-		cHalf = bitutil.RotateLeft28(cHalf, shift)
-		dHalf = bitutil.RotateLeft28(dHalf, shift)
-		combined := uint64(cHalf)<<28 | uint64(dHalf)
-		c.keys[i] = packKey(bitutil.PermuteBlock(combined, permutedChoice2, 56))
-	}
-}
-
 // rounds runs one 16-round pass, two rounds per step so the halves never
 // swap. rev = 15 walks the keys backwards (i^15 = 15-i), rev = 0 forwards.
 func (c *Cipher) rounds(l, r uint32, rev int) (uint32, uint32) {
@@ -91,6 +80,38 @@ func (c *Cipher) rounds(l, r uint32, rev int) (uint32, uint32) {
 		r ^= feistel(l, c.keys[(i+1^rev)&15])
 	}
 	return l, r
+}
+
+// rounds2 is rounds over two independent blocks. Each round is latency
+// bound (key XOR, byte extraction, an L1 load, the XOR tree), so
+// interleaving two lanes lets one lane's chain run in the other's
+// stalls.
+func (c *Cipher) rounds2(l0, r0, l1, r1 uint32, rev int) (uint32, uint32, uint32, uint32) {
+	for i := 0; i < 16; i += 2 {
+		k := c.keys[(i^rev)&15]
+		l0 ^= feistel(r0, k)
+		l1 ^= feistel(r1, k)
+		k = c.keys[(i+1^rev)&15]
+		r0 ^= feistel(l0, k)
+		r1 ^= feistel(l1, k)
+	}
+	return l0, r0, l1, r1
+}
+
+// DecryptBlocks decrypts each whole block of src into dst (as ECB would),
+// two blocks per pass. dst may alias src exactly. CBC decryption, whose
+// blocks are independent, runs through it.
+func (c *Cipher) DecryptBlocks(dst, src []byte) {
+	for ; len(src) >= 2*BlockSize; dst, src = dst[2*BlockSize:], src[2*BlockSize:] {
+		l0, r0 := initial(src)
+		l1, r1 := initial(src[BlockSize:])
+		l0, r0, l1, r1 = c.rounds2(l0, r0, l1, r1, 15)
+		bitutil.Store64(dst, final(l0, r0))
+		bitutil.Store64(dst[BlockSize:], final(l1, r1))
+	}
+	if len(src) >= BlockSize {
+		c.Decrypt(dst, src)
+	}
 }
 
 // EncryptWithFault encrypts one block but flips a single bit of the
@@ -190,6 +211,17 @@ func (c *TripleCipher) Encrypt(dst, src []byte) { ede(dst, src, &c.k1, &c.k2, &c
 // Decrypt performs EDE decryption of one block.
 func (c *TripleCipher) Decrypt(dst, src []byte) { ede(dst, src, &c.k3, &c.k2, &c.k1, 15) }
 
+// DecryptBlocks decrypts each whole block of src into dst (as ECB would),
+// two blocks per pass. dst may alias src exactly.
+func (c *TripleCipher) DecryptBlocks(dst, src []byte) {
+	for ; len(src) >= 2*BlockSize; dst, src = dst[2*BlockSize:], src[2*BlockSize:] {
+		ede2(dst, src, &c.k3, &c.k2, &c.k1, 15)
+	}
+	if len(src) >= BlockSize {
+		c.Decrypt(dst, src)
+	}
+}
+
 // ede runs three passes between one IP and one FP, the middle one against
 // rev. Halves enter the next pass swapped, as FP then IP would leave them.
 func ede(dst, src []byte, a, b, c *Cipher, rev int) {
@@ -197,4 +229,15 @@ func ede(dst, src []byte, a, b, c *Cipher, rev int) {
 	l, r = a.rounds(l, r, rev)
 	r, l = b.rounds(r, l, 15-rev)
 	bitutil.Store64(dst, final(c.rounds(l, r, rev)))
+}
+
+// ede2 is ede over the two blocks at src, one lane each.
+func ede2(dst, src []byte, a, b, c *Cipher, rev int) {
+	l0, r0 := initial(src)
+	l1, r1 := initial(src[BlockSize:])
+	l0, r0, l1, r1 = a.rounds2(l0, r0, l1, r1, rev)
+	r0, l0, r1, l1 = b.rounds2(r0, l0, r1, l1, 15-rev)
+	l0, r0, l1, r1 = c.rounds2(l0, r0, l1, r1, rev)
+	bitutil.Store64(dst, final(l0, r0))
+	bitutil.Store64(dst[BlockSize:], final(l1, r1))
 }

@@ -193,11 +193,14 @@ func TestCipherAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, BlockSize)
+	blocks := make([]byte, 3*BlockSize)
 	for name, fn := range map[string]func(){
-		"DES Encrypt":  func() { c.Encrypt(buf, buf) },
-		"DES Decrypt":  func() { c.Decrypt(buf, buf) },
-		"3DES Encrypt": func() { tc.Encrypt(buf, buf) },
-		"3DES Decrypt": func() { tc.Decrypt(buf, buf) },
+		"DES Encrypt":        func() { c.Encrypt(buf, buf) },
+		"DES Decrypt":        func() { c.Decrypt(buf, buf) },
+		"3DES Encrypt":       func() { tc.Encrypt(buf, buf) },
+		"3DES Decrypt":       func() { tc.Decrypt(buf, buf) },
+		"DES DecryptBlocks":  func() { c.DecryptBlocks(blocks, blocks) },
+		"3DES DecryptBlocks": func() { tc.DecryptBlocks(blocks, blocks) },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s allocates %v times, want 0", name, n)

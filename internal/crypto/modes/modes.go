@@ -136,8 +136,16 @@ func DecryptCBC(b Block, iv, src []byte) ([]byte, error) {
 //
 // A CBCCrypter is not safe for concurrent use.
 type CBCCrypter struct {
-	b              Block
-	tmp, prev, ct2 []byte
+	b     Block
+	multi multiDecrypter // b, when it decrypts several blocks per call
+	tmp   []byte         // one block, or two when multi is set
+}
+
+// multiDecrypter is a Block that decrypts each whole block of src into
+// dst in one call, overlapping independent blocks (des, 3DES). CBC
+// decryption hands it two blocks at a time.
+type multiDecrypter interface {
+	DecryptBlocks(dst, src []byte)
 }
 
 // NewCBCCrypter creates reusable CBC scratch for b.
@@ -146,12 +154,16 @@ func NewCBCCrypter(b Block) *CBCCrypter {
 	return &c
 }
 
-// newCBCCrypter carves the three scratch blocks from one allocation. A
-// one-shot caller keeps the CBCCrypter itself on its stack.
+// newCBCCrypter sizes the scratch for b. A one-shot caller keeps the
+// CBCCrypter itself on its stack.
 func newCBCCrypter(b Block) CBCCrypter {
-	bs := b.BlockSize()
-	s := make([]byte, 3*bs)
-	return CBCCrypter{b: b, tmp: s[:bs:bs], prev: s[bs : 2*bs : 2*bs], ct2: s[2*bs:]}
+	c := CBCCrypter{b: b}
+	lanes := 1
+	if m, ok := b.(multiDecrypter); ok {
+		c.multi, lanes = m, 2
+	}
+	c.tmp = make([]byte, lanes*b.BlockSize())
+	return c
 }
 
 // checkCBC validates the IV, alignment and dst length of one CBC call.
@@ -176,7 +188,7 @@ func (c *CBCCrypter) EncryptInto(iv, src, dst []byte) error {
 	if err := checkCBC(bs, iv, src, dst); err != nil {
 		return err
 	}
-	tmp := c.tmp
+	tmp := c.tmp[:bs]
 	prev := iv
 	for i := 0; i < len(src); i += bs {
 		bitutil.XORBytes(tmp, src[i:i+bs], prev)
@@ -190,20 +202,33 @@ func (c *CBCCrypter) EncryptInto(iv, src, dst []byte) error {
 
 // DecryptInto decrypts src (block-aligned) in CBC mode into dst, which
 // must be at least len(src) bytes and may alias src exactly (in-place
-// decryption: each ciphertext block is saved before dst is written). It
-// allocates nothing.
+// decryption). It allocates nothing and never writes iv.
+//
+// It walks backwards, as crypto/cipher's CBC decrypter does: plaintext
+// block i needs ciphertext block i-1, which an in-place pass has not yet
+// overwritten. Each step decrypts the trailing chunk of up to len(c.tmp)
+// bytes, two blocks for a multiDecrypter and one otherwise, so an odd
+// count leaves a single block at the front.
 func (c *CBCCrypter) DecryptInto(iv, src, dst []byte) error {
 	bs := c.b.BlockSize()
 	if err := checkCBC(bs, iv, src, dst); err != nil {
 		return err
 	}
-	tmp, prev, ct := c.tmp, c.prev, c.ct2
-	copy(prev, iv)
-	for i := 0; i < len(src); i += bs {
-		copy(ct, src[i:i+bs])
-		c.b.Decrypt(tmp, src[i:i+bs])
-		bitutil.XORBytes(dst[i:i+bs], tmp, prev)
-		prev, ct = ct, prev
+	for end := len(src); end > 0; {
+		start := max(end-len(c.tmp), 0)
+		if c.multi != nil {
+			c.multi.DecryptBlocks(c.tmp, src[start:end])
+		} else {
+			c.b.Decrypt(c.tmp, src[start:end])
+		}
+		for i := end - bs; i >= start; i -= bs {
+			prev := iv
+			if i > 0 {
+				prev = src[i-bs : i]
+			}
+			bitutil.XORBytes(dst[i:i+bs], c.tmp[i-start:], prev)
+		}
+		end = start
 	}
 	mCBCDecOps.Inc()
 	mCBCDecBytes.Add(int64(len(src)))

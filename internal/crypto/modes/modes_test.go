@@ -4,6 +4,7 @@ import (
 	"bytes"
 	stdaes "crypto/aes"
 	stdcipher "crypto/cipher"
+	stddes "crypto/des"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -207,6 +208,106 @@ func TestCBCIntoMatchesAllocatingAndInPlace(t *testing.T) {
 			t.Errorf("CBCCrypter (bs %d) allocates %v times, want 0", bs, n)
 		}
 	}
+}
+
+// desPair returns this repository's DES or 3DES for an 8-, 16- or 24-byte
+// key, and crypto/des's cipher for the same key (which takes 24-byte keys
+// only, so keying option 2 repeats k1 as k3).
+func desPair(t testing.TB, key []byte) (Block, stdcipher.Block) {
+	t.Helper()
+	var ours Block
+	var ref stdcipher.Block
+	var err error
+	if len(key) == des.KeySize {
+		if ours, err = des.NewCipher(key); err == nil {
+			ref, err = stddes.NewCipher(key)
+		}
+	} else if ours, err = des.NewTripleCipher(key); err == nil {
+		ref, err = stddes.NewTripleDESCipher(append(append([]byte(nil), key...), key[:24-len(key)]...))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ours, ref
+}
+
+// checkCBCDecrypt compares DecryptInto with crypto/cipher's CBC decrypter
+// on ct, out of place and in place, and checks that neither the IV nor,
+// out of place, the ciphertext is written.
+func checkCBCDecrypt(t testing.TB, cbc *CBCCrypter, ref stdcipher.Block, iv, ct []byte) {
+	t.Helper()
+	want := make([]byte, len(ct))
+	stdcipher.NewCBCDecrypter(ref, iv).CryptBlocks(want, ct)
+	ivWas, ctWas := append([]byte(nil), iv...), append([]byte(nil), ct...)
+	got := make([]byte, len(ct))
+	if err := cbc.DecryptInto(iv, ct, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%d blocks: DecryptInto = %x, crypto/cipher %x", len(ct)/8, got, want)
+	}
+	if !bytes.Equal(ct, ctWas) {
+		t.Fatalf("%d blocks: out-of-place DecryptInto wrote its source", len(ct)/8)
+	}
+	inPlace := append([]byte(nil), ct...)
+	if err := cbc.DecryptInto(iv, inPlace, inPlace); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(inPlace, want) {
+		t.Fatalf("%d blocks: in-place DecryptInto = %x, crypto/cipher %x", len(ct)/8, inPlace, want)
+	}
+	if !bytes.Equal(iv, ivWas) {
+		t.Fatalf("%d blocks: DecryptInto changed the IV to %x", len(ct)/8, iv)
+	}
+}
+
+// TestCBCDecryptAgainstStdlib runs the DES and 3DES decrypt path, two
+// blocks per step with a single block left over on odd counts, against
+// crypto/cipher + crypto/des for every count from 0 to 33 blocks, on one
+// reused CBCCrypter per key.
+func TestCBCDecryptAgainstStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, klen := range []int{8, 16, 24} {
+		key := make([]byte, klen)
+		rng.Read(key)
+		ours, ref := desPair(t, key)
+		cbc := NewCBCCrypter(ours)
+		for blocks := 0; blocks <= 33; blocks++ {
+			iv := make([]byte, des.BlockSize)
+			ct := make([]byte, blocks*des.BlockSize)
+			rng.Read(iv)
+			rng.Read(ct)
+			checkCBCDecrypt(t, cbc, ref, iv, ct)
+		}
+		iv, ct := make([]byte, des.BlockSize), make([]byte, 5*des.BlockSize)
+		if n := testing.AllocsPerRun(20, func() {
+			cbc.DecryptInto(iv, ct, ct) //nolint:errcheck
+		}); n != 0 {
+			t.Errorf("%d-byte key: 5-block DecryptInto allocates %v times, want 0", klen, n)
+		}
+	}
+}
+
+// FuzzCBCDecryptAgainstStdlib is TestCBCDecryptAgainstStdlib on fuzzed
+// input. The first byte picks the key size (8, 16 or 24 bytes); the next
+// bytes are the key, the IV and then the ciphertext, cut to whole blocks.
+func FuzzCBCDecryptAgainstStdlib(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add(append([]byte{1}, bytes.Repeat([]byte{0xa5}, 16+8+3*8)...))
+	f.Add(append([]byte{2}, bytes.Repeat([]byte{0x3c}, 24+8+8*8)...))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		klen := 8 * (1 + int(in[0]%3))
+		var head [24 + des.BlockSize]byte
+		rest := in[1:]
+		rest = rest[copy(head[:klen+des.BlockSize], rest):]
+		key, iv := head[:klen], head[klen:klen+des.BlockSize]
+		ct := rest[:len(rest)/des.BlockSize*des.BlockSize]
+		ours, ref := desPair(t, key)
+		checkCBCDecrypt(t, NewCBCCrypter(ours), ref, iv, ct)
+	})
 }
 
 func TestCBCIntoShortDst(t *testing.T) {
