@@ -4,15 +4,19 @@
 // given a baseline snapshot — fails when any benchmark's ns/op regresses
 // past a configurable threshold. CI runs it against the committed
 // baseline; developers refresh the baseline with -out after intentional
-// performance changes.
+// performance changes. Both run the default -bench, the gated rung list,
+// and -out refuses to replace a snapshot with a run that lacks any of its
+// benchmarks.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -59,8 +63,16 @@ type Snapshot struct {
 	Results  map[string]Result `json:"results"`
 }
 
+// rungs is the default -bench regexp: the benchmark ladder that CI gates
+// against bench/BENCH_baseline.json, from the cipher kernels up to the
+// composed stack and the fleet step.
+const rungs = "BenchmarkCipherThroughput|BenchmarkDESBlock|Benchmark3DESBlock|BenchmarkNewTripleCipher|" +
+	"BenchmarkRecordProtection|BenchmarkBearerA5Throughput|BenchmarkAggregateThroughput|BenchmarkFleetStep|" +
+	"BenchmarkModExp512|BenchmarkModExpConstTime512|BenchmarkSignCRT512|BenchmarkWTLSHandshake|" +
+	"BenchmarkDRBGRead|BenchmarkHMACSHA1|BenchmarkESPSealOpen|BenchmarkWEPSealOpen|BenchmarkStackTxn|BenchmarkARQ"
+
 func main() {
-	benchRe := flag.String("bench", ".", "benchmark regexp passed to go test -bench")
+	benchRe := flag.String("bench", rungs, "benchmark regexp passed to go test -bench; the default is the gated rung list")
 	benchtime := flag.String("benchtime", "1s", "per-benchmark budget passed to go test -benchtime")
 	pkg := flag.String("pkg", "./...", "package pattern to benchmark")
 	out := flag.String("out", "", "write the snapshot JSON here (default bench/BENCH_<date>.json; '-' for stdout only)")
@@ -94,6 +106,10 @@ func main() {
 		path = fmt.Sprintf("bench/BENCH_%s.json", snap.Date)
 	}
 	if path != "-" {
+		if err := checkOverwrite(path, snap); err != nil {
+			fmt.Fprintf(os.Stderr, "benchreg: %v\n", err)
+			os.Exit(1)
+		}
 		if dir := filepath.Dir(path); dir != "." {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				fmt.Fprintf(os.Stderr, "benchreg: %v\n", err)
@@ -249,6 +265,33 @@ func historyRecord(s *Snapshot) history.Record {
 		Fingerprint: s.Fingerprint,
 		Headline:    head,
 	}
+}
+
+// checkOverwrite refuses to replace the snapshot at path with snap when
+// snap lacks any benchmark the old one recorded: a narrower -bench, or a
+// rung that failed to run, would otherwise drop that rung's gate from the
+// baseline without anyone noticing. A path that does not exist yet is
+// fine.
+func checkOverwrite(path string, snap *Snapshot) error {
+	old, err := load(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("reading %s before overwriting it: %w", path, err)
+	}
+	var lost []string
+	for name := range old.Results {
+		if _, ok := snap.Results[name]; !ok {
+			lost = append(lost, name)
+		}
+	}
+	if len(lost) == 0 {
+		return nil
+	}
+	sort.Strings(lost)
+	return fmt.Errorf("refusing to overwrite %s: this run lacks %d of its benchmarks (%s); run them, or write elsewhere",
+		path, len(lost), strings.Join(lost, ", "))
 }
 
 func load(path string) (*Snapshot, error) {

@@ -7,6 +7,8 @@
 // baseline those extensions accelerate.
 package bitutil
 
+import "encoding/binary"
+
 // PermuteBlock returns the permutation of src described by table.
 //
 // Positions in table are 1-based from the most-significant bit of an
@@ -49,21 +51,6 @@ func Store64(b []byte, v uint64) {
 	b[7] = byte(v)
 }
 
-// Load32 assembles a big-endian uint32 from a 4-byte slice.
-func Load32(b []byte) uint32 {
-	_ = b[3]
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-// Store32 writes v big-endian into a 4-byte slice.
-func Store32(b []byte, v uint32) {
-	_ = b[3]
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
-}
-
 // Load32LE assembles a little-endian uint32 from a 4-byte slice (MD5 order).
 func Load32LE(b []byte) uint32 {
 	_ = b[3]
@@ -80,16 +67,17 @@ func Store32LE(b []byte, v uint32) {
 }
 
 // XORBytes sets dst[i] = a[i] ^ b[i] for i < n where n is the shortest
-// length among the three slices, and returns n.
+// length among the three slices, and returns n. It XORs eight bytes per
+// step as one 64-bit load, XOR and store, then finishes byte by byte, so
+// an 8- or 16-byte cipher block takes one or two steps. dst may alias a
+// or b exactly.
 func XORBytes(dst, a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+	n := min(len(a), len(b), len(dst))
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(a[i:])^binary.LittleEndian.Uint64(b[i:]))
 	}
-	if len(dst) < n {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
+	for ; i < n; i++ {
 		dst[i] = a[i] ^ b[i]
 	}
 	return n

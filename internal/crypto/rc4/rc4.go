@@ -15,9 +15,13 @@ func (k KeySizeError) Error() string {
 	return fmt.Sprintf("rc4: invalid key size %d", int(k))
 }
 
-// Cipher is an RC4 stream cipher instance.
+// Cipher is an RC4 stream cipher instance. The permutation is held one
+// entry per 32-bit word, as Go's crypto/rc4 holds it: on x86-64 its PRGA
+// runs about 1.5x faster than over a byte permutation (EXPERIMENTS,
+// "Performance — SHA-1 and RC4 kernels"), for 768 bytes more state per
+// cipher. Every entry stays below 256.
 type Cipher struct {
-	s    [256]byte
+	s    [256]uint32
 	i, j uint8
 }
 
@@ -30,28 +34,35 @@ func NewCipher(key []byte) (*Cipher, error) {
 	}
 	c := new(Cipher)
 	for i := range c.s {
-		c.s[i] = byte(i)
+		c.s[i] = uint32(i)
 	}
 	var j uint8
 	for i := 0; i < 256; i++ {
-		j += c.s[i] + key[i%k]
+		j += uint8(c.s[i]) + key[i%k]
 		c.s[i], c.s[j] = c.s[j], c.s[i]
 	}
 	return c, nil
 }
 
 // XORKeyStream XORs src with the cipher's keystream into dst. dst and src
-// may overlap entirely or not at all. The i/j indices and permutation are
-// worked on as locals so the PRGA inner loop stays free of pointer
-// round-trips and bounds checks (uint8 indices cannot exceed the table).
+// may overlap entirely or not at all; it panics if dst is shorter than
+// src. Each step loads s[i] and s[j] once and reuses them for the swap and
+// the output index; dst is resliced to len(src) so the loop runs without
+// bounds checks (uint8 indices cannot leave the table).
 func (c *Cipher) XORKeyStream(dst, src []byte) {
+	if len(dst) < len(src) {
+		panic("rc4: dst is shorter than src")
+	}
+	dst = dst[:len(src)]
 	i, j := c.i, c.j
 	s := &c.s
 	for k, v := range src {
 		i++
-		j += s[i]
-		s[i], s[j] = s[j], s[i]
-		dst[k] = v ^ s[s[i]+s[j]]
+		x := s[i]
+		j += uint8(x)
+		y := s[j]
+		s[i], s[j] = y, x
+		dst[k] = v ^ uint8(s[uint8(x+y)])
 	}
 	c.i, c.j = i, j
 }
@@ -64,9 +75,11 @@ func (c *Cipher) Keystream(out []byte) {
 	s := &c.s
 	for k := range out {
 		i++
-		j += s[i]
-		s[i], s[j] = s[j], s[i]
-		out[k] = s[s[i]+s[j]]
+		x := s[i]
+		j += uint8(x)
+		y := s[j]
+		s[i], s[j] = y, x
+		out[k] = uint8(s[uint8(x+y)])
 	}
 	c.i, c.j = i, j
 }
@@ -76,5 +89,8 @@ func (c *Cipher) Keystream(out []byte) {
 // KSA runs; exposing the state keeps that simulation honest (it uses only
 // information an attacker can compute from the public IV).
 func (c *Cipher) State() (s [256]byte, i, j uint8) {
-	return c.s, c.i, c.j
+	for k, v := range c.s {
+		s[k] = uint8(v)
+	}
+	return s, c.i, c.j
 }

@@ -130,6 +130,117 @@ func TestStateAccess(t *testing.T) {
 	}
 }
 
+// byteRC4 is the textbook RC4 over a byte permutation, the reference for
+// the word-state cipher's State.
+type byteRC4 struct {
+	s    [256]byte
+	i, j uint8
+}
+
+func newByteRC4(key []byte) *byteRC4 {
+	r := new(byteRC4)
+	for i := range r.s {
+		r.s[i] = byte(i)
+	}
+	var j uint8
+	for i := 0; i < 256; i++ {
+		j += r.s[i] + key[i%len(key)]
+		r.s[i], r.s[j] = r.s[j], r.s[i]
+	}
+	return r
+}
+
+func (r *byteRC4) skip(n int) {
+	for ; n > 0; n-- {
+		r.i++
+		r.j += r.s[r.i]
+		r.s[r.i], r.s[r.j] = r.s[r.j], r.s[r.i]
+	}
+}
+
+// FuzzAgainstStdlib runs this cipher and crypto/rc4 side by side over msg
+// in chunks whose lengths come from splits, cycling through out-of-place
+// XORKeyStream, in-place XORKeyStream and Keystream. Keys of every length
+// 1-256 are accepted and every other length refused, as by crypto/rc4.
+// After the stream, State must equal a byte-state reference that ran the
+// same number of steps.
+func FuzzAgainstStdlib(f *testing.F) {
+	f.Add([]byte("Key"), []byte("Plaintext"), []byte{3})
+	f.Add([]byte{1, 2, 3, 4, 5}, make([]byte, 600), []byte{0, 1, 255, 7, 64})
+	f.Add(bytes.Repeat([]byte{0xa5}, 256), make([]byte, 40), []byte{13, 13})
+	f.Add([]byte{}, []byte{1}, []byte{})
+	f.Fuzz(func(t *testing.T, key, msg, splits []byte) {
+		ours, err := NewCipher(key)
+		ref, refErr := stdrc4.NewCipher(key)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("key length %d: NewCipher err %v, crypto/rc4 err %v", len(key), err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		rest := msg
+		for k := 0; len(rest) > 0; k++ {
+			n := len(rest)
+			if k < len(splits) {
+				n = min(int(splits[k]), n)
+			}
+			chunk := rest[:n]
+			rest = rest[n:]
+			want := make([]byte, n)
+			got := make([]byte, n)
+			switch k % 3 {
+			case 0:
+				ref.XORKeyStream(want, chunk)
+				ours.XORKeyStream(got, chunk)
+			case 1:
+				ref.XORKeyStream(want, chunk)
+				copy(got, chunk)
+				ours.XORKeyStream(got, got)
+			case 2:
+				ref.XORKeyStream(want, want)
+				ours.Keystream(got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("key %x chunk %d (%d bytes, mode %d): got %x, want %x", key, k, n, k%3, got, want)
+			}
+		}
+		r := newByteRC4(key)
+		r.skip(len(msg))
+		if s, i, j := ours.State(); s != r.s || i != r.i || j != r.j {
+			t.Fatalf("key %x after %d bytes: State differs from the byte-state reference", key, len(msg))
+		}
+	})
+}
+
+// TestXORKeyStreamShortDst: a dst shorter than src panics, even when
+// its capacity would hold src, and writes nothing past its length.
+func TestXORKeyStreamShortDst(t *testing.T) {
+	c, _ := NewCipher([]byte("key"))
+	buf := make([]byte, 8)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("XORKeyStream accepted a dst shorter than src")
+		}
+		if !bytes.Equal(buf[4:], make([]byte, 4)) {
+			t.Fatalf("XORKeyStream wrote past dst: %x", buf)
+		}
+	}()
+	c.XORKeyStream(buf[:4], make([]byte, 8))
+}
+
+// TestXORKeyStreamAllocs pins the PRGA at 0 allocations, out of place and
+// in place.
+func TestXORKeyStreamAllocs(t *testing.T) {
+	c, _ := NewCipher(make([]byte, 16))
+	src, dst := make([]byte, 1024), make([]byte, 1024)
+	if n := testing.AllocsPerRun(100, func() {
+		c.XORKeyStream(dst, src)
+		c.XORKeyStream(dst, dst)
+	}); n != 0 {
+		t.Fatalf("XORKeyStream allocates %.0f times per run, want 0", n)
+	}
+}
+
 func BenchmarkXORKeyStream1K(b *testing.B) {
 	c, _ := NewCipher(make([]byte, 16))
 	buf := make([]byte, 1024)

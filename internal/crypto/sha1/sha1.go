@@ -6,9 +6,9 @@
 package sha1
 
 import (
+	"encoding/binary"
 	"hash"
-
-	"repro/internal/crypto/bitutil"
+	"math/bits"
 )
 
 // Size is the SHA-1 digest size in bytes.
@@ -58,14 +58,15 @@ func (d *Digest) Write(p []byte) (n int, err error) {
 		c := copy(d.x[d.nx:], p)
 		d.nx += c
 		if d.nx == BlockSize {
-			d.block(d.x[:])
+			block(&d.h, d.x[:])
 			d.nx = 0
 		}
 		p = p[c:]
 	}
-	for len(p) >= BlockSize {
-		d.block(p[:BlockSize])
-		p = p[BlockSize:]
+	if len(p) >= BlockSize {
+		whole := len(p) &^ (BlockSize - 1)
+		block(&d.h, p[:whole])
+		p = p[whole:]
 	}
 	if len(p) > 0 {
 		d.nx = copy(d.x[:], p)
@@ -90,14 +91,12 @@ func (d *Digest) checkSum() [Size]byte {
 	if padLen < 9 {
 		padLen += BlockSize
 	}
-	for i := 0; i < 8; i++ {
-		pad[padLen-8+i] = byte(msgLen << 3 >> uint(56-8*i))
-	}
+	binary.BigEndian.PutUint64(pad[padLen-8:], msgLen<<3)
 	d.Write(pad[:padLen]) //nolint:errcheck // never fails
 
 	var out [Size]byte
 	for i, v := range d.h {
-		bitutil.Store32(out[i*4:], v)
+		binary.BigEndian.PutUint32(out[i*4:], v)
 	}
 	return out
 }
@@ -110,45 +109,272 @@ const (
 	k3 = 0xCA62C1D6
 )
 
-// block runs the compression function with the 80-round loop split into
-// its four 20-round phases, hoisting the per-round round-function switch
-// out of the loop body. The schedule and additions are unchanged, so the
-// digests are bit-identical to the reference loop.
-func (d *Digest) block(p []byte) {
-	var w [80]uint32
-	for i := 0; i < 16; i++ {
-		w[i] = bitutil.Load32(p[i*4:])
+// block runs the compression function over every whole 64-byte block of
+// p. The 80 rounds are written out: instead of shifting a..e through a
+// tuple assignment each round, every round renames them, so a round is
+// one addition chain and one rotation. The message schedule rolls through
+// sixteen locals, w[t] = rotl1(w[t-3] ^ w[t-8] ^ w[t-14] ^ w[t-16]) being
+// written over w[t-16]. Ch and Maj take the shorter forms
+// d ^ (b & (c ^ d)) and (b & c) | (d & (b | c)); each equals the FIPS
+// formula bit for bit.
+func block(h *[5]uint32, p []byte) {
+	h0, h1, h2, h3, h4 := h[0], h[1], h[2], h[3], h[4]
+	for ; len(p) >= BlockSize; p = p[BlockSize:] {
+		q := p[:BlockSize]
+		w0 := binary.BigEndian.Uint32(q[0:])
+		w1 := binary.BigEndian.Uint32(q[4:])
+		w2 := binary.BigEndian.Uint32(q[8:])
+		w3 := binary.BigEndian.Uint32(q[12:])
+		w4 := binary.BigEndian.Uint32(q[16:])
+		w5 := binary.BigEndian.Uint32(q[20:])
+		w6 := binary.BigEndian.Uint32(q[24:])
+		w7 := binary.BigEndian.Uint32(q[28:])
+		w8 := binary.BigEndian.Uint32(q[32:])
+		w9 := binary.BigEndian.Uint32(q[36:])
+		w10 := binary.BigEndian.Uint32(q[40:])
+		w11 := binary.BigEndian.Uint32(q[44:])
+		w12 := binary.BigEndian.Uint32(q[48:])
+		w13 := binary.BigEndian.Uint32(q[52:])
+		w14 := binary.BigEndian.Uint32(q[56:])
+		w15 := binary.BigEndian.Uint32(q[60:])
+		a, b, c, d, e := h0, h1, h2, h3, h4
+
+		// Rounds 0-19: Ch(b, c, d).
+		e += bits.RotateLeft32(a, 5) + (d ^ (b & (c ^ d))) + k0 + w0
+		b = bits.RotateLeft32(b, 30)
+		d += bits.RotateLeft32(e, 5) + (c ^ (a & (b ^ c))) + k0 + w1
+		a = bits.RotateLeft32(a, 30)
+		c += bits.RotateLeft32(d, 5) + (b ^ (e & (a ^ b))) + k0 + w2
+		e = bits.RotateLeft32(e, 30)
+		b += bits.RotateLeft32(c, 5) + (a ^ (d & (e ^ a))) + k0 + w3
+		d = bits.RotateLeft32(d, 30)
+		a += bits.RotateLeft32(b, 5) + (e ^ (c & (d ^ e))) + k0 + w4
+		c = bits.RotateLeft32(c, 30)
+		e += bits.RotateLeft32(a, 5) + (d ^ (b & (c ^ d))) + k0 + w5
+		b = bits.RotateLeft32(b, 30)
+		d += bits.RotateLeft32(e, 5) + (c ^ (a & (b ^ c))) + k0 + w6
+		a = bits.RotateLeft32(a, 30)
+		c += bits.RotateLeft32(d, 5) + (b ^ (e & (a ^ b))) + k0 + w7
+		e = bits.RotateLeft32(e, 30)
+		b += bits.RotateLeft32(c, 5) + (a ^ (d & (e ^ a))) + k0 + w8
+		d = bits.RotateLeft32(d, 30)
+		a += bits.RotateLeft32(b, 5) + (e ^ (c & (d ^ e))) + k0 + w9
+		c = bits.RotateLeft32(c, 30)
+		e += bits.RotateLeft32(a, 5) + (d ^ (b & (c ^ d))) + k0 + w10
+		b = bits.RotateLeft32(b, 30)
+		d += bits.RotateLeft32(e, 5) + (c ^ (a & (b ^ c))) + k0 + w11
+		a = bits.RotateLeft32(a, 30)
+		c += bits.RotateLeft32(d, 5) + (b ^ (e & (a ^ b))) + k0 + w12
+		e = bits.RotateLeft32(e, 30)
+		b += bits.RotateLeft32(c, 5) + (a ^ (d & (e ^ a))) + k0 + w13
+		d = bits.RotateLeft32(d, 30)
+		a += bits.RotateLeft32(b, 5) + (e ^ (c & (d ^ e))) + k0 + w14
+		c = bits.RotateLeft32(c, 30)
+		e += bits.RotateLeft32(a, 5) + (d ^ (b & (c ^ d))) + k0 + w15
+		b = bits.RotateLeft32(b, 30)
+		w0 = bits.RotateLeft32(w13^w8^w2^w0, 1)
+		d += bits.RotateLeft32(e, 5) + (c ^ (a & (b ^ c))) + k0 + w0
+		a = bits.RotateLeft32(a, 30)
+		w1 = bits.RotateLeft32(w14^w9^w3^w1, 1)
+		c += bits.RotateLeft32(d, 5) + (b ^ (e & (a ^ b))) + k0 + w1
+		e = bits.RotateLeft32(e, 30)
+		w2 = bits.RotateLeft32(w15^w10^w4^w2, 1)
+		b += bits.RotateLeft32(c, 5) + (a ^ (d & (e ^ a))) + k0 + w2
+		d = bits.RotateLeft32(d, 30)
+		w3 = bits.RotateLeft32(w0^w11^w5^w3, 1)
+		a += bits.RotateLeft32(b, 5) + (e ^ (c & (d ^ e))) + k0 + w3
+		c = bits.RotateLeft32(c, 30)
+		// Rounds 20-39: Parity(b, c, d).
+		w4 = bits.RotateLeft32(w1^w12^w6^w4, 1)
+		e += bits.RotateLeft32(a, 5) + (b ^ c ^ d) + k1 + w4
+		b = bits.RotateLeft32(b, 30)
+		w5 = bits.RotateLeft32(w2^w13^w7^w5, 1)
+		d += bits.RotateLeft32(e, 5) + (a ^ b ^ c) + k1 + w5
+		a = bits.RotateLeft32(a, 30)
+		w6 = bits.RotateLeft32(w3^w14^w8^w6, 1)
+		c += bits.RotateLeft32(d, 5) + (e ^ a ^ b) + k1 + w6
+		e = bits.RotateLeft32(e, 30)
+		w7 = bits.RotateLeft32(w4^w15^w9^w7, 1)
+		b += bits.RotateLeft32(c, 5) + (d ^ e ^ a) + k1 + w7
+		d = bits.RotateLeft32(d, 30)
+		w8 = bits.RotateLeft32(w5^w0^w10^w8, 1)
+		a += bits.RotateLeft32(b, 5) + (c ^ d ^ e) + k1 + w8
+		c = bits.RotateLeft32(c, 30)
+		w9 = bits.RotateLeft32(w6^w1^w11^w9, 1)
+		e += bits.RotateLeft32(a, 5) + (b ^ c ^ d) + k1 + w9
+		b = bits.RotateLeft32(b, 30)
+		w10 = bits.RotateLeft32(w7^w2^w12^w10, 1)
+		d += bits.RotateLeft32(e, 5) + (a ^ b ^ c) + k1 + w10
+		a = bits.RotateLeft32(a, 30)
+		w11 = bits.RotateLeft32(w8^w3^w13^w11, 1)
+		c += bits.RotateLeft32(d, 5) + (e ^ a ^ b) + k1 + w11
+		e = bits.RotateLeft32(e, 30)
+		w12 = bits.RotateLeft32(w9^w4^w14^w12, 1)
+		b += bits.RotateLeft32(c, 5) + (d ^ e ^ a) + k1 + w12
+		d = bits.RotateLeft32(d, 30)
+		w13 = bits.RotateLeft32(w10^w5^w15^w13, 1)
+		a += bits.RotateLeft32(b, 5) + (c ^ d ^ e) + k1 + w13
+		c = bits.RotateLeft32(c, 30)
+		w14 = bits.RotateLeft32(w11^w6^w0^w14, 1)
+		e += bits.RotateLeft32(a, 5) + (b ^ c ^ d) + k1 + w14
+		b = bits.RotateLeft32(b, 30)
+		w15 = bits.RotateLeft32(w12^w7^w1^w15, 1)
+		d += bits.RotateLeft32(e, 5) + (a ^ b ^ c) + k1 + w15
+		a = bits.RotateLeft32(a, 30)
+		w0 = bits.RotateLeft32(w13^w8^w2^w0, 1)
+		c += bits.RotateLeft32(d, 5) + (e ^ a ^ b) + k1 + w0
+		e = bits.RotateLeft32(e, 30)
+		w1 = bits.RotateLeft32(w14^w9^w3^w1, 1)
+		b += bits.RotateLeft32(c, 5) + (d ^ e ^ a) + k1 + w1
+		d = bits.RotateLeft32(d, 30)
+		w2 = bits.RotateLeft32(w15^w10^w4^w2, 1)
+		a += bits.RotateLeft32(b, 5) + (c ^ d ^ e) + k1 + w2
+		c = bits.RotateLeft32(c, 30)
+		w3 = bits.RotateLeft32(w0^w11^w5^w3, 1)
+		e += bits.RotateLeft32(a, 5) + (b ^ c ^ d) + k1 + w3
+		b = bits.RotateLeft32(b, 30)
+		w4 = bits.RotateLeft32(w1^w12^w6^w4, 1)
+		d += bits.RotateLeft32(e, 5) + (a ^ b ^ c) + k1 + w4
+		a = bits.RotateLeft32(a, 30)
+		w5 = bits.RotateLeft32(w2^w13^w7^w5, 1)
+		c += bits.RotateLeft32(d, 5) + (e ^ a ^ b) + k1 + w5
+		e = bits.RotateLeft32(e, 30)
+		w6 = bits.RotateLeft32(w3^w14^w8^w6, 1)
+		b += bits.RotateLeft32(c, 5) + (d ^ e ^ a) + k1 + w6
+		d = bits.RotateLeft32(d, 30)
+		w7 = bits.RotateLeft32(w4^w15^w9^w7, 1)
+		a += bits.RotateLeft32(b, 5) + (c ^ d ^ e) + k1 + w7
+		c = bits.RotateLeft32(c, 30)
+		// Rounds 40-59: Maj(b, c, d).
+		w8 = bits.RotateLeft32(w5^w0^w10^w8, 1)
+		e += bits.RotateLeft32(a, 5) + ((b & c) | (d & (b | c))) + k2 + w8
+		b = bits.RotateLeft32(b, 30)
+		w9 = bits.RotateLeft32(w6^w1^w11^w9, 1)
+		d += bits.RotateLeft32(e, 5) + ((a & b) | (c & (a | b))) + k2 + w9
+		a = bits.RotateLeft32(a, 30)
+		w10 = bits.RotateLeft32(w7^w2^w12^w10, 1)
+		c += bits.RotateLeft32(d, 5) + ((e & a) | (b & (e | a))) + k2 + w10
+		e = bits.RotateLeft32(e, 30)
+		w11 = bits.RotateLeft32(w8^w3^w13^w11, 1)
+		b += bits.RotateLeft32(c, 5) + ((d & e) | (a & (d | e))) + k2 + w11
+		d = bits.RotateLeft32(d, 30)
+		w12 = bits.RotateLeft32(w9^w4^w14^w12, 1)
+		a += bits.RotateLeft32(b, 5) + ((c & d) | (e & (c | d))) + k2 + w12
+		c = bits.RotateLeft32(c, 30)
+		w13 = bits.RotateLeft32(w10^w5^w15^w13, 1)
+		e += bits.RotateLeft32(a, 5) + ((b & c) | (d & (b | c))) + k2 + w13
+		b = bits.RotateLeft32(b, 30)
+		w14 = bits.RotateLeft32(w11^w6^w0^w14, 1)
+		d += bits.RotateLeft32(e, 5) + ((a & b) | (c & (a | b))) + k2 + w14
+		a = bits.RotateLeft32(a, 30)
+		w15 = bits.RotateLeft32(w12^w7^w1^w15, 1)
+		c += bits.RotateLeft32(d, 5) + ((e & a) | (b & (e | a))) + k2 + w15
+		e = bits.RotateLeft32(e, 30)
+		w0 = bits.RotateLeft32(w13^w8^w2^w0, 1)
+		b += bits.RotateLeft32(c, 5) + ((d & e) | (a & (d | e))) + k2 + w0
+		d = bits.RotateLeft32(d, 30)
+		w1 = bits.RotateLeft32(w14^w9^w3^w1, 1)
+		a += bits.RotateLeft32(b, 5) + ((c & d) | (e & (c | d))) + k2 + w1
+		c = bits.RotateLeft32(c, 30)
+		w2 = bits.RotateLeft32(w15^w10^w4^w2, 1)
+		e += bits.RotateLeft32(a, 5) + ((b & c) | (d & (b | c))) + k2 + w2
+		b = bits.RotateLeft32(b, 30)
+		w3 = bits.RotateLeft32(w0^w11^w5^w3, 1)
+		d += bits.RotateLeft32(e, 5) + ((a & b) | (c & (a | b))) + k2 + w3
+		a = bits.RotateLeft32(a, 30)
+		w4 = bits.RotateLeft32(w1^w12^w6^w4, 1)
+		c += bits.RotateLeft32(d, 5) + ((e & a) | (b & (e | a))) + k2 + w4
+		e = bits.RotateLeft32(e, 30)
+		w5 = bits.RotateLeft32(w2^w13^w7^w5, 1)
+		b += bits.RotateLeft32(c, 5) + ((d & e) | (a & (d | e))) + k2 + w5
+		d = bits.RotateLeft32(d, 30)
+		w6 = bits.RotateLeft32(w3^w14^w8^w6, 1)
+		a += bits.RotateLeft32(b, 5) + ((c & d) | (e & (c | d))) + k2 + w6
+		c = bits.RotateLeft32(c, 30)
+		w7 = bits.RotateLeft32(w4^w15^w9^w7, 1)
+		e += bits.RotateLeft32(a, 5) + ((b & c) | (d & (b | c))) + k2 + w7
+		b = bits.RotateLeft32(b, 30)
+		w8 = bits.RotateLeft32(w5^w0^w10^w8, 1)
+		d += bits.RotateLeft32(e, 5) + ((a & b) | (c & (a | b))) + k2 + w8
+		a = bits.RotateLeft32(a, 30)
+		w9 = bits.RotateLeft32(w6^w1^w11^w9, 1)
+		c += bits.RotateLeft32(d, 5) + ((e & a) | (b & (e | a))) + k2 + w9
+		e = bits.RotateLeft32(e, 30)
+		w10 = bits.RotateLeft32(w7^w2^w12^w10, 1)
+		b += bits.RotateLeft32(c, 5) + ((d & e) | (a & (d | e))) + k2 + w10
+		d = bits.RotateLeft32(d, 30)
+		w11 = bits.RotateLeft32(w8^w3^w13^w11, 1)
+		a += bits.RotateLeft32(b, 5) + ((c & d) | (e & (c | d))) + k2 + w11
+		c = bits.RotateLeft32(c, 30)
+		// Rounds 60-79: Parity(b, c, d).
+		w12 = bits.RotateLeft32(w9^w4^w14^w12, 1)
+		e += bits.RotateLeft32(a, 5) + (b ^ c ^ d) + k3 + w12
+		b = bits.RotateLeft32(b, 30)
+		w13 = bits.RotateLeft32(w10^w5^w15^w13, 1)
+		d += bits.RotateLeft32(e, 5) + (a ^ b ^ c) + k3 + w13
+		a = bits.RotateLeft32(a, 30)
+		w14 = bits.RotateLeft32(w11^w6^w0^w14, 1)
+		c += bits.RotateLeft32(d, 5) + (e ^ a ^ b) + k3 + w14
+		e = bits.RotateLeft32(e, 30)
+		w15 = bits.RotateLeft32(w12^w7^w1^w15, 1)
+		b += bits.RotateLeft32(c, 5) + (d ^ e ^ a) + k3 + w15
+		d = bits.RotateLeft32(d, 30)
+		w0 = bits.RotateLeft32(w13^w8^w2^w0, 1)
+		a += bits.RotateLeft32(b, 5) + (c ^ d ^ e) + k3 + w0
+		c = bits.RotateLeft32(c, 30)
+		w1 = bits.RotateLeft32(w14^w9^w3^w1, 1)
+		e += bits.RotateLeft32(a, 5) + (b ^ c ^ d) + k3 + w1
+		b = bits.RotateLeft32(b, 30)
+		w2 = bits.RotateLeft32(w15^w10^w4^w2, 1)
+		d += bits.RotateLeft32(e, 5) + (a ^ b ^ c) + k3 + w2
+		a = bits.RotateLeft32(a, 30)
+		w3 = bits.RotateLeft32(w0^w11^w5^w3, 1)
+		c += bits.RotateLeft32(d, 5) + (e ^ a ^ b) + k3 + w3
+		e = bits.RotateLeft32(e, 30)
+		w4 = bits.RotateLeft32(w1^w12^w6^w4, 1)
+		b += bits.RotateLeft32(c, 5) + (d ^ e ^ a) + k3 + w4
+		d = bits.RotateLeft32(d, 30)
+		w5 = bits.RotateLeft32(w2^w13^w7^w5, 1)
+		a += bits.RotateLeft32(b, 5) + (c ^ d ^ e) + k3 + w5
+		c = bits.RotateLeft32(c, 30)
+		w6 = bits.RotateLeft32(w3^w14^w8^w6, 1)
+		e += bits.RotateLeft32(a, 5) + (b ^ c ^ d) + k3 + w6
+		b = bits.RotateLeft32(b, 30)
+		w7 = bits.RotateLeft32(w4^w15^w9^w7, 1)
+		d += bits.RotateLeft32(e, 5) + (a ^ b ^ c) + k3 + w7
+		a = bits.RotateLeft32(a, 30)
+		w8 = bits.RotateLeft32(w5^w0^w10^w8, 1)
+		c += bits.RotateLeft32(d, 5) + (e ^ a ^ b) + k3 + w8
+		e = bits.RotateLeft32(e, 30)
+		w9 = bits.RotateLeft32(w6^w1^w11^w9, 1)
+		b += bits.RotateLeft32(c, 5) + (d ^ e ^ a) + k3 + w9
+		d = bits.RotateLeft32(d, 30)
+		w10 = bits.RotateLeft32(w7^w2^w12^w10, 1)
+		a += bits.RotateLeft32(b, 5) + (c ^ d ^ e) + k3 + w10
+		c = bits.RotateLeft32(c, 30)
+		w11 = bits.RotateLeft32(w8^w3^w13^w11, 1)
+		e += bits.RotateLeft32(a, 5) + (b ^ c ^ d) + k3 + w11
+		b = bits.RotateLeft32(b, 30)
+		w12 = bits.RotateLeft32(w9^w4^w14^w12, 1)
+		d += bits.RotateLeft32(e, 5) + (a ^ b ^ c) + k3 + w12
+		a = bits.RotateLeft32(a, 30)
+		w13 = bits.RotateLeft32(w10^w5^w15^w13, 1)
+		c += bits.RotateLeft32(d, 5) + (e ^ a ^ b) + k3 + w13
+		e = bits.RotateLeft32(e, 30)
+		w14 = bits.RotateLeft32(w11^w6^w0^w14, 1)
+		b += bits.RotateLeft32(c, 5) + (d ^ e ^ a) + k3 + w14
+		d = bits.RotateLeft32(d, 30)
+		w15 = bits.RotateLeft32(w12^w7^w1^w15, 1)
+		a += bits.RotateLeft32(b, 5) + (c ^ d ^ e) + k3 + w15
+		c = bits.RotateLeft32(c, 30)
+
+		h0 += a
+		h1 += b
+		h2 += c
+		h3 += d
+		h4 += e
 	}
-	for i := 16; i < 80; i++ {
-		t := w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16]
-		w[i] = t<<1 | t>>31
-	}
-	a, b, c, dd, e := d.h[0], d.h[1], d.h[2], d.h[3], d.h[4]
-	for i := 0; i < 20; i++ {
-		f := (b & c) | (^b & dd)
-		t := (a<<5 | a>>27) + f + e + k0 + w[i]
-		e, dd, c, b, a = dd, c, (b<<30 | b>>2), a, t
-	}
-	for i := 20; i < 40; i++ {
-		f := b ^ c ^ dd
-		t := (a<<5 | a>>27) + f + e + k1 + w[i]
-		e, dd, c, b, a = dd, c, (b<<30 | b>>2), a, t
-	}
-	for i := 40; i < 60; i++ {
-		f := (b & c) | (b & dd) | (c & dd)
-		t := (a<<5 | a>>27) + f + e + k2 + w[i]
-		e, dd, c, b, a = dd, c, (b<<30 | b>>2), a, t
-	}
-	for i := 60; i < 80; i++ {
-		f := b ^ c ^ dd
-		t := (a<<5 | a>>27) + f + e + k3 + w[i]
-		e, dd, c, b, a = dd, c, (b<<30 | b>>2), a, t
-	}
-	d.h[0] += a
-	d.h[1] += b
-	d.h[2] += c
-	d.h[3] += dd
-	d.h[4] += e
+	h[0], h[1], h[2], h[3], h[4] = h0, h1, h2, h3, h4
 }
 
 // Sum returns the SHA-1 digest of data in one call.

@@ -115,6 +115,61 @@ func TestInterfaceSizes(t *testing.T) {
 	}
 }
 
+// FuzzAgainstStdlib writes data to this digest and to crypto/sha1 in
+// chunks whose lengths come from splits (0-255 bytes, so chunks start and
+// end on either side of block boundaries), comparing Sum after every
+// chunk. Halfway through, a CopyFrom clone takes over one stream; at the
+// end Reset must give back a digest that hashes data in one Write.
+func FuzzAgainstStdlib(f *testing.F) {
+	f.Add([]byte("abc"), []byte{1, 63, 64})
+	f.Add(bytes.Repeat([]byte{0x5a}, 300), []byte{55, 9, 64, 65, 0, 7, 128})
+	f.Add(make([]byte, 1000), []byte{255, 255, 1})
+	f.Fuzz(func(t *testing.T, data, splits []byte) {
+		ours, ref := New(), stdsha1.New()
+		rest := data
+		for k, s := range splits {
+			n := min(int(s), len(rest))
+			ours.Write(rest[:n])
+			ref.Write(rest[:n])
+			rest = rest[n:]
+			if got, want := ours.Sum(nil), ref.Sum(nil); !bytes.Equal(got, want) {
+				t.Fatalf("after chunk %d (%d bytes): got %x, want %x", k, n, got, want)
+			}
+			if k == len(splits)/2 {
+				clone := new(Digest)
+				clone.CopyFrom(ours)
+				ours = clone
+			}
+		}
+		ours.Write(rest)
+		ref.Write(rest)
+		if got, want := ours.Sum(nil), ref.Sum(nil); !bytes.Equal(got, want) {
+			t.Fatalf("whole stream: got %x, want %x", got, want)
+		}
+		ours.Reset()
+		ours.Write(data)
+		if got, want := ours.Sum(nil), stdsha1.Sum(data); !bytes.Equal(got, want[:]) {
+			t.Fatalf("after Reset: got %x, want %x", got, want)
+		}
+	})
+}
+
+// TestZeroAllocs pins the streaming path at 0 allocations: Write over a
+// partial block, whole blocks and a tail, and Sum into a caller buffer.
+func TestZeroAllocs(t *testing.T) {
+	d := New()
+	msg := make([]byte, 1000)
+	out := make([]byte, 0, Size)
+	if n := testing.AllocsPerRun(100, func() {
+		d.Reset()
+		d.Write(msg[:3])
+		d.Write(msg)
+		out = d.Sum(out[:0])
+	}); n != 0 {
+		t.Fatalf("Write/Sum allocate %.0f times per run, want 0", n)
+	}
+}
+
 func BenchmarkSum1K(b *testing.B) {
 	buf := make([]byte, 1024)
 	b.SetBytes(1024)
