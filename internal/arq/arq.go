@@ -9,10 +9,16 @@
 // acks, a retransmit timer with exponential backoff, a configurable
 // go-back-N sliding window (window 1 = classic stop-and-wait) with fast
 // retransmit on a duplicate ack or on a NAK (a receiver's report that it
-// discarded a frame it could not read), and a typed ErrLinkDown give-up
-// so upper layers can degrade gracefully instead of hanging. Only a
-// go-back-N endpoint sends or acts on NAKs; stop-and-wait recovers by
-// the timer alone.
+// discarded a frame it could not read), a tail-loss probe, and a typed
+// ErrLinkDown give-up so upper layers can degrade gracefully instead of
+// hanging. The probe covers what draws no NAK or duplicate ack: a
+// dropped last frame, a lost final ack or a lost NAK. A go-back-N sender
+// whose sendBase has not advanced for PTO = RetransmitTimeout/8 since
+// the later of the last advance and its newest transmission resends its
+// newest in-flight frame once per sendBase, and the ack that copy draws
+// drives the usual advance, fast-retransmit and NAK paths (after
+// RACK-TLP, RFC 8985). Only a go-back-N endpoint sends or acts on NAKs
+// or probes; stop-and-wait recovers by the timer alone.
 // Retransmissions and acks are reported through the OnTransmit and
 // OnReceive hooks so radio.Radio / energy.Battery can charge them.
 //
@@ -76,7 +82,9 @@ type Config struct {
 	Window int
 	// MTU is the maximum payload bytes per DATA frame (default 240).
 	MTU int
-	// RetransmitTimeout is the base retransmit timer (default 15ms).
+	// RetransmitTimeout is the base retransmit timer (default 15ms). A
+	// go-back-N endpoint also derives its tail-loss probe timeout from
+	// it: PTO = RetransmitTimeout/8.
 	RetransmitTimeout time.Duration
 	// Backoff multiplies the timeout after each consecutive retransmit
 	// without progress (default 1.5).
@@ -124,6 +132,12 @@ type Stats struct {
 	// triggered before the timer expired; the frames they resend are in
 	// Retransmits.
 	FastRetransmits int
+
+	// Probes counts tail-loss probes: resends of the newest in-flight
+	// frame after PTO = RetransmitTimeout/8 without an advance, at most
+	// one per sendBase and only at Window > 1. The probe frames are in
+	// Retransmits and RetransmitBytes too.
+	Probes int
 
 	// NaksSent counts NAKs this end sent for inbound frames it discarded
 	// (at most MaxRetries per expected sequence); NaksRcvd counts NAKs
@@ -426,18 +440,38 @@ func (e *Endpoint) retransmitWindow(fast bool) error {
 	return nil
 }
 
+// probe resends the newest in-flight frame: the tail-loss probe.
+func (e *Endpoint) probe() error {
+	e.mu.Lock()
+	if len(e.inflight) == 0 {
+		e.mu.Unlock()
+		return nil
+	}
+	f := e.inflight[len(e.inflight)-1]
+	e.stats.Probes++
+	e.mu.Unlock()
+	return e.transmit(f, true)
+}
+
 // awaitAck blocks until ok (evaluated under the endpoint lock) holds,
 // resending the window when a duplicate ack or a NAK asks for it or the
 // timer expires. Only an advancing ack is progress: it restarts the
 // timer and resets the backoff. After MaxRetries consecutive timeouts
-// without progress the link is declared down.
+// without progress the link is declared down. A go-back-N sender also
+// probes once per sendBase, PTO after the later of the last advance and
+// its newest transmission; a probe, like a fast resend, is not progress.
 func (e *Endpoint) awaitAck(ok func() bool) error {
 	timeout := e.cfg.RetransmitTimeout
+	pto := e.cfg.RetransmitTimeout / 8
 	retries := 0
 	e.mu.Lock()
 	seq := e.sendBase
 	e.mu.Unlock()
-	armed := time.Now() // when the running timer started
+	// The caller's newest frame went out just before this call, so both
+	// the timer and the probe clock start now.
+	armed := time.Now()         // when the running timer started
+	lastSent := armed           // the later of the last advance and the newest transmission
+	probed := e.cfg.Window == 1 // stop-and-wait never probes
 	// One timer serves every wait of this call, made on the first wait
 	// that blocks and stopped on return, so an ack that lands in time
 	// leaves no pending timer behind.
@@ -463,6 +497,8 @@ func (e *Endpoint) awaitAck(ok func() bool) error {
 			retries = 0
 			timeout = e.cfg.RetransmitTimeout
 			armed = time.Now()
+			lastSent = armed
+			probed = e.cfg.Window == 1
 		}
 		fast := e.fastPending
 		if !fast && ok() {
@@ -474,10 +510,16 @@ func (e *Endpoint) awaitAck(ok func() bool) error {
 			if err := e.retransmitWindow(true); err != nil {
 				return err
 			}
+			lastSent = time.Now()
 			continue
 		}
 
-		if wait := time.Until(armed.Add(timeout)); timer == nil {
+		deadline := armed.Add(timeout)
+		probeDue := !probed && lastSent.Add(pto).Before(deadline)
+		if probeDue {
+			deadline = lastSent.Add(pto)
+		}
+		if wait := time.Until(deadline); timer == nil {
 			timer = time.NewTimer(wait)
 		} else {
 			resetTimer(timer, wait)
@@ -485,6 +527,13 @@ func (e *Endpoint) awaitAck(ok func() bool) error {
 		select {
 		case <-e.ackCh:
 		case <-timer.C:
+			if probeDue {
+				probed = true
+				if err := e.probe(); err != nil {
+					return err
+				}
+				continue
+			}
 			if tsp := e.tparent.Load(); tsp != nil {
 				// Only timed-out waits become spans: an ack that arrives
 				// in time is progress, not backoff.
@@ -506,6 +555,7 @@ func (e *Endpoint) awaitAck(ok func() bool) error {
 			}
 			timeout = time.Duration(float64(timeout) * e.cfg.Backoff)
 			armed = time.Now()
+			lastSent = armed
 		}
 	}
 }

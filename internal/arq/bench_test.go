@@ -15,8 +15,9 @@ import (
 // endpoints (window 8, 10 ms timer, the composed stack's ARQ settings) on
 // chaos.FaultyTransport over an in-memory pipe. The lossy case drops
 // 0.1 % of frames and flips bits at BER 1e-5 under fixed fault seeds, the
-// perfbench stack-lossy mix, so it prices ARQ recovery alone; retx/op and
-// naks/op report the resent DATA frames and the NAKs sent per echo.
+// perfbench stack-lossy mix, so it prices ARQ recovery alone; retx/op,
+// naks/op and probes/op report the resent DATA frames, the NAKs sent and
+// the tail-loss probes (also in retx/op) per echo.
 func BenchmarkARQ(b *testing.B) {
 	cfg := arq.Config{Window: 8, RetransmitTimeout: 10 * time.Millisecond, MaxRetries: 25}
 	for _, bc := range []struct {
@@ -57,11 +58,11 @@ func BenchmarkARQ(b *testing.B) {
 			}()
 			req := bytes.Repeat([]byte("txn:1.99;"), 114)[:1024]
 			reply := make([]byte, len(req))
-			sum := func() (retx, naks int) {
+			sum := func() (retx, naks, probes int) {
 				sa, sg := ea.Stats(), eg.Stats()
-				return sa.Retransmits + sg.Retransmits, sa.NaksSent + sg.NaksSent
+				return sa.Retransmits + sg.Retransmits, sa.NaksSent + sg.NaksSent, sa.Probes + sg.Probes
 			}
-			retx0, naks0 := sum()
+			retx0, naks0, probes0 := sum()
 			b.SetBytes(int64(len(req)))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -77,9 +78,10 @@ func BenchmarkARQ(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			retx, naks := sum()
+			retx, naks, probes := sum()
 			b.ReportMetric(float64(retx-retx0)/float64(b.N), "retx/op")
 			b.ReportMetric(float64(naks-naks0)/float64(b.N), "naks/op")
+			b.ReportMetric(float64(probes-probes0)/float64(b.N), "probes/op")
 		})
 	}
 }

@@ -16,20 +16,26 @@ import (
 )
 
 // seqFaulter is a fault-free datagram link that silently drops, or
-// corrupts in its CRC, the DATA frames drop or corrupt picks by sequence
-// number and copy number (0 for the first transmission), so a fault
-// lands on a chosen frame rather than on whatever a random schedule and
-// goroutine timing happen to hit. Either picker may be nil.
+// corrupts in its CRC, the DATA frames (ACK frames when acks is set)
+// drop or corrupt picks by sequence number and copy number (0 for the
+// first transmission), so a fault lands on a chosen frame rather than on
+// whatever a random schedule and goroutine timing happen to hit. Either
+// picker may be nil.
 type seqFaulter struct {
 	io.ReadWriteCloser
 	drop, corrupt func(seq uint16, nth int) bool
+	acks          bool
 
 	mu   sync.Mutex
 	seen map[uint16]int
 }
 
 func (d *seqFaulter) Write(p []byte) (int, error) {
-	if len(p) >= 3 && p[0] == 'D' { // DATA frame: type | seq(2 BE) | ...
+	typ := byte('D')
+	if d.acks {
+		typ = 'A'
+	}
+	if len(p) >= 3 && p[0] == typ { // type | seq(2 BE) | ...
 		seq := binary.BigEndian.Uint16(p[1:3])
 		d.mu.Lock()
 		n := d.seen[seq]
@@ -52,9 +58,9 @@ func flipLastBit(frame []byte) []byte {
 	return c
 }
 
-// faultyLink joins two endpoints; frames ea sends pass through f,
-// frames eb sends all arrive.
-func faultyLink(t *testing.T, cfg arq.Config, f *seqFaulter) (ea, eb *arq.Endpoint) {
+// faultyLink joins two endpoints; frames ea sends pass through fa and
+// frames eb sends through fb, and a nil faulter passes every frame.
+func faultyLink(t *testing.T, cfg arq.Config, fa, fb *seqFaulter) (ea, eb *arq.Endpoint) {
 	t.Helper()
 	a, b := stack.Pipe()
 	ta, err := chaos.New(a, chaos.Config{})
@@ -65,11 +71,17 @@ func faultyLink(t *testing.T, cfg arq.Config, f *seqFaulter) (ea, eb *arq.Endpoi
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.ReadWriteCloser, f.seen = ta, map[uint16]int{}
-	if ea, err = arq.New(f, cfg); err != nil {
+	wrap := func(f *seqFaulter, rw io.ReadWriteCloser) io.ReadWriteCloser {
+		if f == nil {
+			return rw
+		}
+		f.ReadWriteCloser, f.seen = rw, map[uint16]int{}
+		return f
+	}
+	if ea, err = arq.New(wrap(fa, ta), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if eb, err = arq.New(tb, cfg); err != nil {
+	if eb, err = arq.New(wrap(fb, tb), cfg); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ea.Close(); eb.Close() })
@@ -79,7 +91,7 @@ func faultyLink(t *testing.T, cfg arq.Config, f *seqFaulter) (ea, eb *arq.Endpoi
 // droppingLink is a faultyLink that drops the frames drop picks.
 func droppingLink(t *testing.T, cfg arq.Config, drop func(seq uint16, nth int) bool) (ea, eb *arq.Endpoint) {
 	t.Helper()
-	return faultyLink(t, cfg, &seqFaulter{drop: drop})
+	return faultyLink(t, cfg, &seqFaulter{drop: drop}, nil)
 }
 
 // pattern returns n bytes that differ from frame to frame.
@@ -156,12 +168,16 @@ func TestDuplicateAcksAreNotProgress(t *testing.T) {
 		t.Fatalf("link down after %v, before %d timeouts (%v)", el, cfg.MaxRetries+1, floor)
 	}
 	// Each timer resend re-arms one fast resend; each resend carries at
-	// most the six frames from seq 2 on.
+	// most the six frames from seq 2 on. A tail-loss probe resends one
+	// frame, at most once for each sendBase (0, 1 and 2).
 	st := ea.Stats()
 	if st.FastRetransmits > cfg.MaxRetries+1 {
 		t.Fatalf("FastRetransmits = %d, want <= %d", st.FastRetransmits, cfg.MaxRetries+1)
 	}
-	if limit := (2*cfg.MaxRetries + 1) * 6; st.Retransmits > limit {
+	if st.Probes > 3 {
+		t.Fatalf("Probes = %d, want <= 3", st.Probes)
+	}
+	if limit := (2*cfg.MaxRetries+1)*6 + st.Probes; st.Retransmits > limit {
 		t.Fatalf("Retransmits = %d, want <= %d", st.Retransmits, limit)
 	}
 }
@@ -179,6 +195,9 @@ func TestStopAndWaitNeverFastRetransmits(t *testing.T) {
 	}
 	if st.FastRetransmits != 0 || eb.Stats().FastRetransmits != 0 {
 		t.Fatalf("stop-and-wait fast-retransmitted: %+v / %+v", st, eb.Stats())
+	}
+	if st.Probes != 0 || eb.Stats().Probes != 0 {
+		t.Fatalf("stop-and-wait sent a tail-loss probe: %+v / %+v", st, eb.Stats())
 	}
 	// Corrupted frames reach both ends, yet neither NAKs them.
 	if st.CRCErrors+eb.Stats().CRCErrors == 0 {
@@ -199,7 +218,7 @@ func TestNakBeatsTimerOnCorruptedLastFrame(t *testing.T) {
 	const rto = time.Second
 	cfg := arq.Config{Window: 8, RetransmitTimeout: rto}
 	msg := pattern(5 * 240) // five full frames, seq 0..4
-	ea, eb := faultyLink(t, cfg, &seqFaulter{corrupt: func(seq uint16, nth int) bool { return seq == 4 && nth == 0 }})
+	ea, eb := faultyLink(t, cfg, &seqFaulter{corrupt: func(seq uint16, nth int) bool { return seq == 4 && nth == 0 }}, nil)
 	got := make(chan []byte, 1)
 	go func() {
 		buf := make([]byte, len(msg))
@@ -222,6 +241,96 @@ func TestNakBeatsTimerOnCorruptedLastFrame(t *testing.T) {
 	}
 	if sa.FastRetransmits != 1 || sa.Retransmits != 1 {
 		t.Fatalf("want one resend of the last frame alone: %+v", sa)
+	}
+}
+
+// probeRun writes five full frames (seq 0..4) from ea to eb under a 1 s
+// retransmit timeout and checks that the write returns well before half
+// of it, with the payload intact and exactly one tail-loss probe as the
+// only resend.
+func probeRun(t *testing.T, ea, eb *arq.Endpoint, rto time.Duration) {
+	t.Helper()
+	msg := pattern(5 * 240)
+	got := make(chan []byte, 1)
+	go func() {
+		buf := make([]byte, len(msg))
+		io.ReadFull(eb, buf) //nolint:errcheck
+		got <- buf
+	}()
+	start := time.Now()
+	if _, err := ea.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > rto/2 {
+		t.Fatalf("Write took %v: the tail loss waited for the %v timer", el, rto)
+	}
+	if !bytes.Equal(<-got, msg) {
+		t.Fatal("payload corrupted")
+	}
+	if st := ea.Stats(); st.Probes != 1 || st.Retransmits != 1 || st.FastRetransmits != 0 {
+		t.Fatalf("want one probe as the only resend: %+v", st)
+	}
+}
+
+// TestProbeBeatsTimerOnDroppedLastFrame: the last DATA frame of a write,
+// dropped once, reaches the receiver neither to draw a duplicate ack nor
+// a NAK. The sender probes with it PTO = RTO/8 after the last advance.
+func TestProbeBeatsTimerOnDroppedLastFrame(t *testing.T) {
+	const rto = time.Second
+	cfg := arq.Config{Window: 8, RetransmitTimeout: rto}
+	ea, eb := droppingLink(t, cfg, func(seq uint16, nth int) bool { return seq == 4 && nth == 0 })
+	probeRun(t, ea, eb, rto)
+}
+
+// TestProbeBeatsTimerOnLostFinalAck: every frame of a write arrives but
+// the ack for the last one is lost. The probe is a duplicate the
+// receiver re-acks.
+func TestProbeBeatsTimerOnLostFinalAck(t *testing.T) {
+	const rto = time.Second
+	cfg := arq.Config{Window: 8, RetransmitTimeout: rto}
+	lose := &seqFaulter{acks: true, drop: func(seq uint16, nth int) bool { return seq == 5 && nth == 0 }}
+	ea, eb := faultyLink(t, cfg, nil, lose)
+	probeRun(t, ea, eb, rto)
+	if sb := eb.Stats(); sb.Duplicates != 1 {
+		t.Fatalf("want the probe to arrive as one duplicate: %+v", sb)
+	}
+}
+
+// TestProbeIsNotProgress: on a link that drops every DATA frame, a probe
+// neither restarts the timer nor resets the timeout count, so the link
+// goes down after MaxRetries timeouts, with one probe for its one
+// sendBase on top of the timer's resends.
+func TestProbeIsNotProgress(t *testing.T) {
+	const rto = 5 * time.Millisecond
+	cfg := arq.Config{Window: 8, RetransmitTimeout: rto, Backoff: 1, MaxRetries: 3}
+	ea, eb := droppingLink(t, cfg, func(uint16, int) bool { return true })
+	go io.Copy(io.Discard, eb) //nolint:errcheck
+
+	const frames = 5
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := ea.Write(pattern(frames * 240))
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("probes kept the link up: no give-up after 5s")
+	}
+	if !errors.Is(err, arq.ErrLinkDown) {
+		t.Fatalf("want ErrLinkDown, got %v", err)
+	}
+	if floor := time.Duration(cfg.MaxRetries+1) * rto; time.Since(start) < floor {
+		t.Fatalf("link down after %v, before %d timeouts (%v)", time.Since(start), cfg.MaxRetries+1, floor)
+	}
+	st := ea.Stats()
+	if st.Probes != 1 {
+		t.Fatalf("Probes = %d, want 1 for the one sendBase: %+v", st.Probes, st)
+	}
+	if want := cfg.MaxRetries*frames + st.Probes; st.Retransmits != want {
+		t.Fatalf("Retransmits = %d, want %d (timer resends plus the probe): %+v", st.Retransmits, want, st)
 	}
 }
 
@@ -289,8 +398,13 @@ func TestNaksBoundedOnAllCorruptLink(t *testing.T) {
 	if sa.FastRetransmits > cfg.MaxRetries {
 		t.Fatalf("FastRetransmits = %d, want <= %d", sa.FastRetransmits, cfg.MaxRetries)
 	}
-	// The timer alone resends the whole write MaxRetries times.
-	if limit := cfg.MaxRetries * frames; sa.Retransmits > limit {
+	// sendBase never advances, so it draws at most one probe.
+	if sa.Probes > 1 {
+		t.Fatalf("Probes = %d, want <= 1 for one sendBase: %+v", sa.Probes, sa)
+	}
+	// The timer alone resends the whole write MaxRetries times; the
+	// probe adds one frame.
+	if limit := cfg.MaxRetries*frames + sa.Probes; sa.Retransmits > limit {
 		t.Fatalf("Retransmits = %d, want <= %d", sa.Retransmits, limit)
 	}
 }

@@ -28,11 +28,21 @@ type Cipher struct {
 // NewCipher creates an RC4 cipher from a 1- to 256-byte key, running the
 // full key-scheduling algorithm (KSA).
 func NewCipher(key []byte) (*Cipher, error) {
+	c := new(Cipher)
+	if err := c.SetKey(key); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// SetKey rekeys c from a 1- to 256-byte key, running the full KSA and
+// restarting the keystream, as NewCipher does. Neither c nor key
+// escapes, so a per-frame cipher can live on the caller's stack.
+func (c *Cipher) SetKey(key []byte) error {
 	k := len(key)
 	if k < 1 || k > 256 {
-		return nil, KeySizeError(k)
+		return KeySizeError(k)
 	}
-	c := new(Cipher)
 	for i := range c.s {
 		c.s[i] = uint32(i)
 	}
@@ -41,7 +51,8 @@ func NewCipher(key []byte) (*Cipher, error) {
 		j += uint8(c.s[i]) + key[i%k]
 		c.s[i], c.s[j] = c.s[j], c.s[i]
 	}
-	return c, nil
+	c.i, c.j = 0, 0
+	return nil
 }
 
 // XORKeyStream XORs src with the cipher's keystream into dst. dst and src

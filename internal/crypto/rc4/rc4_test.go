@@ -36,8 +36,11 @@ func TestKeystreamVectors(t *testing.T) {
 	}
 }
 
+// TestAgainstStdlib also rekeys one used cipher value with SetKey each
+// round, which must restart the keystream exactly as NewCipher does.
 func TestAgainstStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var rekeyed Cipher
 	for i := 0; i < 100; i++ {
 		key := make([]byte, 1+rng.Intn(32))
 		msg := make([]byte, rng.Intn(500))
@@ -57,6 +60,13 @@ func TestAgainstStdlib(t *testing.T) {
 		ref.XORKeyStream(want, msg)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("key %x: mismatch with stdlib", key)
+		}
+		if err := rekeyed.SetKey(key); err != nil {
+			t.Fatal(err)
+		}
+		rekeyed.XORKeyStream(got, msg)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("key %x: SetKey on a used cipher mismatches stdlib", key)
 		}
 	}
 }
@@ -108,6 +118,10 @@ func TestKeySizeErrors(t *testing.T) {
 	}
 	if _, err := NewCipher(make([]byte, 257)); err == nil {
 		t.Error("accepted 257-byte key")
+	}
+	var c Cipher
+	if err := c.SetKey(nil); err == nil {
+		t.Error("SetKey accepted empty key")
 	}
 	if KeySizeError(0).Error() == "" {
 		t.Error("empty error message")

@@ -27,11 +27,22 @@ func hasGatewaySpan(n *obs.SpanNode) bool {
 // session span rooted under the client's attempt span — with the
 // critical-path analyzer attributing the bulk of each session's wall
 // time to named spans.
+//
+// The tracer is process-wide and the trace IDs are seeded, so the test
+// starts from an empty ring and puts back everything it set: a second
+// run (-count 2) would otherwise merge its spans into the first run's
+// traces.
 func TestEndToEndMergedTraces(t *testing.T) {
+	obs.DefaultDTracer.Reset()
 	obs.DefaultDTracer.SetEnabled(true)
 	obs.DefaultDTracer.SetProc("e2e-test")
 	obs.DefaultDTracer.SetSampleN(1)
-	t.Cleanup(func() { obs.DefaultDTracer.SetEnabled(false) })
+	t.Cleanup(func() {
+		obs.DefaultDTracer.SetEnabled(false)
+		obs.DefaultDTracer.SetProc("")
+		obs.DefaultDTracer.SetSampleN(0)
+		obs.DefaultDTracer.Reset()
+	})
 
 	srv, client := startGateway(t)
 	r, err := New(Config{

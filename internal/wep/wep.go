@@ -88,11 +88,12 @@ func NewEndpoint(key []byte, policy IVPolicy) (*Endpoint, error) {
 	return &Endpoint{key: append([]byte{}, key...), policy: policy}, nil
 }
 
-// perFrameKey builds the RC4 key IV||secret used for one frame.
-func perFrameKey(iv [IVLen]byte, secret []byte) []byte {
-	k := make([]byte, 0, IVLen+len(secret))
-	k = append(k, iv[:]...)
-	return append(k, secret...)
+// keyFrame keys c with IV||secret, the RC4 key of one frame. The key is
+// built in a stack array, so with c on the caller's stack keying a frame
+// allocates nothing.
+func keyFrame(c *rc4.Cipher, iv [IVLen]byte, secret []byte) error {
+	var buf [IVLen + Key104Len]byte
+	return c.SetKey(append(append(buf[:0], iv[:]...), secret...))
 }
 
 // Seal protects payload into a frame: IV(3) || keyID(1) || RC4(payload||ICV).
@@ -115,8 +116,8 @@ func (e *Endpoint) Seal(payload []byte) ([]byte, error) {
 // SealWithIV protects payload under an explicit IV (exported for the
 // attack experiments, which need IV control).
 func SealWithIV(secret []byte, iv [IVLen]byte, payload []byte) ([]byte, error) {
-	c, err := rc4.NewCipher(perFrameKey(iv, secret))
-	if err != nil {
+	var c rc4.Cipher
+	if err := keyFrame(&c, iv, secret); err != nil {
 		return nil, err
 	}
 	mFramesSealed.Inc()
@@ -129,17 +130,16 @@ func SealWithIV(secret []byte, iv [IVLen]byte, payload []byte) ([]byte, error) {
 		pSealCRC.AddCycles(int64(cost.InstrPerByte(cost.CRC32) * float64(len(payload))))
 	}
 	icv := crc32.ChecksumIEEE(payload)
-	clear := make([]byte, len(payload)+ICVLen)
-	copy(clear, payload)
-	clear[len(payload)] = byte(icv)
-	clear[len(payload)+1] = byte(icv >> 8)
-	clear[len(payload)+2] = byte(icv >> 16)
-	clear[len(payload)+3] = byte(icv >> 24)
-
-	frame := make([]byte, IVLen+1+len(clear))
+	frame := make([]byte, IVLen+1+len(payload)+ICVLen)
 	copy(frame, iv[:])
 	frame[IVLen] = 0 // key ID
-	c.XORKeyStream(frame[IVLen+1:], clear)
+	body := frame[IVLen+1:]
+	copy(body, payload)
+	body[len(payload)] = byte(icv)
+	body[len(payload)+1] = byte(icv >> 8)
+	body[len(payload)+2] = byte(icv >> 16)
+	body[len(payload)+3] = byte(icv >> 24)
+	c.XORKeyStream(body, body)
 	return frame, nil
 }
 
@@ -155,8 +155,8 @@ func Open(secret, frame []byte) ([]byte, error) {
 	}
 	var iv [IVLen]byte
 	copy(iv[:], frame[:IVLen])
-	c, err := rc4.NewCipher(perFrameKey(iv, secret))
-	if err != nil {
+	var c rc4.Cipher
+	if err := keyFrame(&c, iv, secret); err != nil {
 		return nil, err
 	}
 	clear := make([]byte, len(frame)-IVLen-1)
@@ -176,7 +176,7 @@ func Open(secret, frame []byte) ([]byte, error) {
 	}
 	mFramesOpened.Inc()
 	mOpenBytes.Add(int64(len(payload)))
-	return append([]byte{}, payload...), nil
+	return payload[:len(payload):len(payload)], nil
 }
 
 // FrameIV extracts a frame's IV (public on the air — the property the

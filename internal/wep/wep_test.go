@@ -189,6 +189,28 @@ func TestNextIVSkippingWeak(t *testing.T) {
 	}
 }
 
+// TestSealOpenAllocs pins a frame's seal and open at one allocation
+// each, the sealed frame and the opened payload: the per-frame RC4 cipher
+// and its IV||secret key stay on the stack.
+func TestSealOpenAllocs(t *testing.T) {
+	e, err := NewEndpoint(make([]byte, Key104Len), IVSequential)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 1024)
+	if n := testing.AllocsPerRun(100, func() {
+		frame, err := e.Seal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Open(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Fatalf("Seal+Open allocates %.0f times per frame, want 2", n)
+	}
+}
+
 // BenchmarkWEPSealOpen is the WEP record rung: one 1 KiB frame sealed and
 // opened per op under a 104-bit key.
 func BenchmarkWEPSealOpen(b *testing.B) {
