@@ -76,7 +76,7 @@ func RecoverPrivateKey(pub *rsa.PublicKey, factor *big.Int) (*rsa.PrivateKey, er
 		return nil, errors.New("fault: public exponent not invertible; wrong factor")
 	}
 	return &rsa.PrivateKey{
-		PublicKey: *pub,
+		PublicKey: rsa.PublicKey{N: pub.N, E: pub.E},
 		D:         d,
 		P:         p,
 		Q:         q,

@@ -76,7 +76,9 @@ func generateSafeGroup(rng io.Reader, bits int) (*Group, error) {
 		q := new(big.Int).SetBytes(buf)
 		q.SetBit(q, bits-2, 1)
 		q.SetBit(q, 0, 1)
-		if !q.ProbablyPrime(16) {
+		// The screen covers q and 2q+1 and rejects only composites, so
+		// ProbablyPrime still decides both and the group is unchanged.
+		if !mp.ScreenSafePrime(q) || !q.ProbablyPrime(16) {
 			continue
 		}
 		p := new(big.Int).Lsh(q, 1)

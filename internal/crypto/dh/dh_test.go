@@ -2,6 +2,8 @@ package dh
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/big"
 	"sync"
@@ -173,5 +175,18 @@ func TestGroup512FailureNotCached(t *testing.T) {
 	}
 	if g, err := TestGroup512(prng.NewDRBG([]byte("dh-group"))); err != nil || g == nil {
 		t.Fatalf("search after a failure: %v", err)
+	}
+}
+
+// TestSafeGroupPinned pins the group the "dh-group" seed yields. The
+// search may get faster, but it must keep finding the same prime.
+func TestSafeGroupPinned(t *testing.T) {
+	g, err := generateSafeGroup(prng.NewDRBG([]byte("dh-group")), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(g.P.Bytes())
+	if got, want := hex.EncodeToString(h[:8]), "42980ce9e8e924b6"; got != want {
+		t.Fatalf("dh-group P digest %s, want %s", got, want)
 	}
 }

@@ -14,20 +14,27 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync/atomic"
 
 	"repro/internal/crypto/mp"
 )
 
-// PublicKey is an RSA public key.
+// PublicKey is an RSA public key. Its Montgomery context is built on
+// first use and kept, so a key is safe for concurrent use but must not be
+// copied after it.
 type PublicKey struct {
 	N *big.Int // modulus
 	E int64    // public exponent
+
+	nCtx atomic.Pointer[mp.MontCtx]
 }
 
 // Size returns the modulus size in bytes.
 func (pub *PublicKey) Size() int { return (pub.N.BitLen() + 7) / 8 }
 
 // PrivateKey is an RSA private key with precomputed CRT parameters.
+// GenerateKey also builds the Montgomery contexts of N, P and Q; a key
+// built any other way gets them on first use.
 type PrivateKey struct {
 	PublicKey
 	D    *big.Int // private exponent
@@ -35,7 +42,29 @@ type PrivateKey struct {
 	Dp   *big.Int // d mod (p-1)
 	Dq   *big.Int // d mod (q-1)
 	Qinv *big.Int // q^{-1} mod p
+
+	pCtx, qCtx atomic.Pointer[mp.MontCtx]
 }
+
+// montCtx returns the Montgomery context kept in slot for modulus m. It
+// builds and keeps a new one when the slot is empty or holds another
+// modulus's context, as after a caller replaced the key's field.
+// Concurrent first uses may each build one; every one is correct.
+func montCtx(slot *atomic.Pointer[mp.MontCtx], m *big.Int) (*mp.MontCtx, error) {
+	if c := slot.Load(); c != nil && c.N.Cmp(m) == 0 {
+		return c, nil
+	}
+	c, err := mp.NewMontCtx(m)
+	if err != nil {
+		return nil, err
+	}
+	slot.Store(c)
+	return c, nil
+}
+
+func (pub *PublicKey) montN() (*mp.MontCtx, error)   { return montCtx(&pub.nCtx, pub.N) }
+func (priv *PrivateKey) montP() (*mp.MontCtx, error) { return montCtx(&priv.pCtx, priv.P) }
+func (priv *PrivateKey) montQ() (*mp.MontCtx, error) { return montCtx(&priv.qCtx, priv.Q) }
 
 // Errors returned by this package.
 var (
@@ -79,7 +108,7 @@ func GenerateKey(rng io.Reader, bits int) (*PrivateKey, error) {
 		if d == nil {
 			continue // e not invertible: pick new primes
 		}
-		return &PrivateKey{
+		priv := &PrivateKey{
 			PublicKey: PublicKey{N: n, E: e.Int64()},
 			D:         d,
 			P:         p,
@@ -87,7 +116,12 @@ func GenerateKey(rng io.Reader, bits int) (*PrivateKey, error) {
 			Dp:        new(big.Int).Mod(d, pm1),
 			Dq:        new(big.Int).Mod(d, qm1),
 			Qinv:      new(big.Int).ModInverse(q, p),
-		}, nil
+		}
+		// N, P and Q are odd and above 1, so none of these can fail.
+		priv.montN()
+		priv.montP()
+		priv.montQ()
+		return priv, nil
 	}
 }
 
@@ -105,7 +139,11 @@ func genPrime(rng io.Reader, bits int) (*big.Int, error) {
 		p.SetBit(p, bits-1, 1)
 		p.SetBit(p, bits-2, 1)
 		p.SetBit(p, 0, 1)
-		if p.ProbablyPrime(20) {
+		// The screen rejects most composites by trial division and the
+		// rest with one modexp, more cheaply than ProbablyPrime, and it
+		// passes every prime, so ProbablyPrime still decides and the
+		// DRBG stream yields the same key.
+		if mp.ScreenPrime(p) && p.ProbablyPrime(20) {
 			return p, nil
 		}
 	}
@@ -156,7 +194,7 @@ func (priv *PrivateKey) privateExp(c *big.Int, opts *Options) (*big.Int, error) 
 		if err != nil {
 			return nil, err
 		}
-		nctx, err := mp.NewMontCtx(priv.N)
+		nctx, err := priv.montN()
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +205,7 @@ func (priv *PrivateKey) privateExp(c *big.Int, opts *Options) (*big.Int, error) 
 
 	var m *big.Int
 	if opts.NoCRT {
-		nctx, err := mp.NewMontCtx(priv.N)
+		nctx, err := priv.montN()
 		if err != nil {
 			return nil, err
 		}
@@ -176,11 +214,11 @@ func (priv *PrivateKey) privateExp(c *big.Int, opts *Options) (*big.Int, error) 
 			m = flipBit(m, opts.Fault.FlipBit, priv.N)
 		}
 	} else {
-		pctx, err := mp.NewMontCtx(priv.P)
+		pctx, err := priv.montP()
 		if err != nil {
 			return nil, err
 		}
-		qctx, err := mp.NewMontCtx(priv.Q)
+		qctx, err := priv.montQ()
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +243,7 @@ func (priv *PrivateKey) privateExp(c *big.Int, opts *Options) (*big.Int, error) 
 		m.Mod(m, priv.N)
 	}
 	if opts.VerifyAfterSign {
-		nctx, err := mp.NewMontCtx(priv.N)
+		nctx, err := priv.montN()
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +321,7 @@ func EncryptPKCS1(rng io.Reader, pub *PublicKey, msg []byte) ([]byte, error) {
 	em[k-len(msg)-1] = 0x00
 	copy(em[k-len(msg):], msg)
 
-	ctx, err := mp.NewMontCtx(pub.N)
+	ctx, err := pub.montN()
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +427,7 @@ func VerifyPKCS1(pub *PublicKey, hashName string, digest, sig []byte) error {
 	if s.Cmp(pub.N) >= 0 {
 		return ErrVerification
 	}
-	ctx, err := mp.NewMontCtx(pub.N)
+	ctx, err := pub.montN()
 	if err != nil {
 		return err
 	}

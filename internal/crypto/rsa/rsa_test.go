@@ -2,6 +2,8 @@ package rsa
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/big"
 	"sync"
 	"testing"
@@ -10,6 +12,9 @@ import (
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/sha1"
 )
+
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
 
 // testKey generates a deterministic key once per size and caches it; RSA
 // keygen dominates test time otherwise.
@@ -248,12 +253,20 @@ func BenchmarkSignCRT512(b *testing.B) {
 	}
 }
 
+// bareKey rebuilds k from its exported fields, as a parser or the fault
+// attack builds a key: it has no Montgomery contexts until first use.
+func bareKey(k *PrivateKey) *PrivateKey {
+	return &PrivateKey{PublicKey: PublicKey{N: k.N, E: k.E}, D: k.D, P: k.P, Q: k.Q,
+		Dp: k.Dp, Dq: k.Dq, Qinv: k.Qinv}
+}
+
 // TestSharedKeyConcurrent: eight goroutines sign, verify and decrypt with
 // one PrivateKey and exponentiate on one shared MontCtx at once, as a
-// gateway's workers do. Run under -race it proves neither keeps per-call
-// state.
+// gateway's workers do. The key starts without Montgomery contexts, so
+// the goroutines also race to build them. Run under -race it proves
+// neither keeps per-call state and the contexts are published safely.
 func TestSharedKeyConcurrent(t *testing.T) {
-	k := testKey(t, 512)
+	k := bareKey(testKey(t, 512))
 	ctx, err := mp.NewMontCtx(k.N)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +316,10 @@ func TestSharedKeyConcurrent(t *testing.T) {
 
 // TestSignCRT512Allocs bounds the allocations of one CRT signature, the
 // server's per-handshake RSA cost: the Montgomery core allocates only its
-// working limbs, so the count no longer grows with the operand length.
+// working limbs, so the count no longer grows with the operand length,
+// and the key keeps its CRT Montgomery contexts, so a signature builds
+// none. Under the race detector sync.Pool drops pooled values at random,
+// so math/big allocates a few more (22-25 measured).
 func TestSignCRT512Allocs(t *testing.T) {
 	k := testKey(t, 512)
 	digest := sha1.Sum([]byte("allocs"))
@@ -312,7 +328,89 @@ func TestSignCRT512Allocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 100 {
-		t.Fatalf("SignPKCS1 (CRT, 512-bit) allocates %v objects, want <= 100", allocs)
+	limit := 21.0
+	if raceEnabled {
+		limit = 30
+	}
+	if allocs > limit {
+		t.Fatalf("SignPKCS1 (CRT, 512-bit) allocates %v objects, want <= %v", allocs, limit)
+	}
+}
+
+// keyDigest is the first 8 bytes of SHA-256 over N and D, hex-encoded:
+// enough to pin a derived key bit for bit.
+func keyDigest(k *PrivateKey) string {
+	h := sha256.Sum256([]byte(k.N.Text(16) + "/" + k.D.Text(16)))
+	return hex.EncodeToString(h[:8])
+}
+
+// TestGenerateKeyPinned pins the keys the figures and attack labs derive.
+// Key generation may get faster, but every DRBG seed must keep yielding
+// the same key.
+func TestGenerateKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed string
+		bits int
+		want string
+	}{
+		{"repro-fault", 512, "add91c869f29ff01"},
+		{"lab-fault", 512, "1f48677a11bfaf6f"},
+		{"rsa-test-key", 512, "9d1c75184a7e0ac5"},
+		{"rsa-test-key", 768, "b4396901a1d35665"},
+		{"rsa-test-key", 1024, "28186a013231e463"},
+	} {
+		k, err := GenerateKey(prng.NewDRBG([]byte(c.seed)), c.bits)
+		if err != nil {
+			t.Fatalf("%s/%d: %v", c.seed, c.bits, err)
+		}
+		if got := keyDigest(k); got != c.want {
+			t.Errorf("GenerateKey(%q, %d) digest %s, want %s", c.seed, c.bits, got, c.want)
+		}
+	}
+}
+
+// TestMontCtxFollowsKeyFields: a kept Montgomery context never outlives
+// the modulus it was built for. Replacing a key's fields after use gives
+// the results of the new key.
+func TestMontCtxFollowsKeyFields(t *testing.T) {
+	a := testKey(t, 512)
+	b, err := GenerateKey(prng.NewDRBG([]byte("another key")), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := bareKey(a)
+	digest := sha1.Sum([]byte("fields"))
+	if _, err := SignPKCS1(k, "sha1", digest[:], &Options{VerifyAfterSign: true}); err != nil {
+		t.Fatal(err)
+	}
+	k.N, k.D, k.P, k.Q, k.Dp, k.Dq, k.Qinv = b.N, b.D, b.P, b.Q, b.Dp, b.Dq, b.Qinv
+	sig, err := SignPKCS1(k, "sha1", digest[:], &Options{VerifyAfterSign: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyPKCS1(&b.PublicKey, "sha1", digest[:], sig); err != nil {
+		t.Fatalf("signature after replacing the key's fields: %v", err)
+	}
+}
+
+// TestGenerateKeyBuildsMontCtx: a generated key carries the contexts of
+// N, P and Q, so its first operation builds none.
+func TestGenerateKeyBuildsMontCtx(t *testing.T) {
+	k := testKey(t, 512)
+	for name, c := range map[string]*mp.MontCtx{"N": k.nCtx.Load(), "P": k.pCtx.Load(), "Q": k.qCtx.Load()} {
+		if c == nil {
+			t.Errorf("GenerateKey left no Montgomery context for %s", name)
+		}
+	}
+	if c := k.pCtx.Load(); c != nil && c.N.Cmp(k.P) != 0 {
+		t.Error("P's Montgomery context has another modulus")
+	}
+}
+
+func BenchmarkGenerateKey512(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateKey(prng.NewDRBG([]byte("bench")), 512); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -608,14 +608,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // DevPKI deterministically derives a CA, server key and certificate
 // from a seed string. Gateway and load generator derive the identical
 // PKI from the same seed, so a soak test needs no key distribution.
+// The two keys come from independent DRBGs, so they are derived at once
+// on two goroutines; both have finished when DevPKI returns.
 func DevPKI(seed, serverName string, bits int) (*wtls.CA, *rsa.PrivateKey, *wtls.Certificate, error) {
-	ca, err := wtls.NewCA("mobilesec-dev-ca", prng.NewDRBG([]byte(seed+"/ca")), bits)
-	if err != nil {
+	var ca *wtls.CA
+	caErr := make(chan error, 1)
+	go func() {
+		var err error
+		ca, err = wtls.NewCA("mobilesec-dev-ca", prng.NewDRBG([]byte(seed+"/ca")), bits)
+		caErr <- err
+	}()
+	key, keyErr := rsa.GenerateKey(prng.NewDRBG([]byte(seed+"/server")), bits)
+	if err := <-caErr; err != nil {
 		return nil, nil, nil, fmt.Errorf("gateway: dev CA: %w", err)
 	}
-	key, err := rsa.GenerateKey(prng.NewDRBG([]byte(seed+"/server")), bits)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("gateway: dev server key: %w", err)
+	if keyErr != nil {
+		return nil, nil, nil, fmt.Errorf("gateway: dev server key: %w", keyErr)
 	}
 	cert, err := ca.Issue(serverName, 1, &key.PublicKey)
 	if err != nil {

@@ -2,6 +2,9 @@ package gateway
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"math/big"
 	"net"
 	"runtime"
 	"strings"
@@ -469,5 +472,57 @@ func waitSessions(t *testing.T, srv *Server, n int64) {
 			t.Fatalf("sessions done = %d, want %d", srv.Stats().SessionsDone, n)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDevPKIPinned pins the CA key, server key and certificate that
+// perfbench and the gateway and loadgen tests derive. Derivation may get
+// faster, but every seed must keep yielding the same PKI.
+func TestDevPKIPinned(t *testing.T) {
+	for _, c := range []struct{ seed, want string }{
+		{"perfbench-pki", "b9b901384d2a25f7"},
+		{"gateway-test", "95d949d41f73d867"},
+		{"loadgen-test", "9a05fdcd83e42acc"},
+		{"another-ca", "d664a6b2738f3064"},
+	} {
+		ca, key, cert, err := DevPKI(c.seed, "gw.local", testBits)
+		if err != nil {
+			t.Fatalf("%s: %v", c.seed, err)
+		}
+		h := sha256.New()
+		for _, v := range []*big.Int{ca.Key.N, ca.Key.D, key.N, key.D} {
+			h.Write([]byte(v.Text(16) + "/"))
+		}
+		h.Write(cert.Marshal())
+		if got := hex.EncodeToString(h.Sum(nil)[:8]); got != c.want {
+			t.Errorf("DevPKI(%q) digest %s, want %s", c.seed, got, c.want)
+		}
+	}
+}
+
+// TestDevPKILeavesNoGoroutine: DevPKI's concurrent derivation is done
+// when it returns, on success and on failure.
+func TestDevPKILeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, _, _, err := DevPKI("goroutines", "gw.local", testBits); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := DevPKI("goroutines", "gw.local", 64); err == nil {
+		t.Fatal("DevPKI accepted a 64-bit modulus")
+	}
+	// A finished goroutine may take a moment to leave the count.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func BenchmarkDevPKI(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := DevPKI("perfbench-pki", "gw.local", testBits); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

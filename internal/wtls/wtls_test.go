@@ -4,6 +4,8 @@ import (
 	"bytes"
 	stdhmac "crypto/hmac"
 	stdsha1 "crypto/sha1"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"strings"
@@ -177,6 +179,15 @@ func testDHGroup(t testing.TB) *dh.Group {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// TestDHGroupPinned pins the group the DHE tests run on. The search may
+// get faster, but the "wtls-dh-group" seed must keep finding this prime.
+func TestDHGroupPinned(t *testing.T) {
+	h := sha256.Sum256(testDHGroup(t).P.Bytes())
+	if got, want := hex.EncodeToString(h[:8]), "c4fe21c8d3ceb7ff"; got != want {
+		t.Fatalf("wtls-dh-group P digest %s, want %s", got, want)
+	}
 }
 
 func TestSuiteNegotiationPreference(t *testing.T) {
