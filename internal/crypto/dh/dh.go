@@ -73,7 +73,9 @@ func generateSafeGroup(rng io.Reader, bits int) (*Group, error) {
 		if _, err := io.ReadFull(rng, buf); err != nil {
 			return nil, err
 		}
+		// q has exactly bits-1 bits, so P = 2q+1 has exactly bits.
 		q := new(big.Int).SetBytes(buf)
+		q.SetBit(q, bits-1, 0)
 		q.SetBit(q, bits-2, 1)
 		q.SetBit(q, 0, 1)
 		// The screen covers q and 2q+1 and rejects only composites, so

@@ -179,11 +179,14 @@ func TestGroup512FailureNotCached(t *testing.T) {
 }
 
 // TestSafeGroupPinned pins the group the "dh-group" seed yields. The
-// search may get faster, but it must keep finding the same prime.
+// search may get faster, but it must keep finding the same 512-bit prime.
 func TestSafeGroupPinned(t *testing.T) {
 	g, err := generateSafeGroup(prng.NewDRBG([]byte("dh-group")), 512)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := g.P.BitLen(); n != 512 {
+		t.Fatalf("dh-group P has %d bits, want 512", n)
 	}
 	h := sha256.Sum256(g.P.Bytes())
 	if got, want := hex.EncodeToString(h[:8]), "42980ce9e8e924b6"; got != want {

@@ -152,6 +152,7 @@ type Conn struct {
 
 	sessionID []byte
 	master    []byte
+	prfHMAC   *hmac.HMAC // re-keyed by each PRF call; set only during Handshake
 
 	// mmu guards metrics, which both directions update.
 	mmu     sync.Mutex
@@ -411,7 +412,7 @@ func (c *Conn) sendFinished(km *keyMaterial) error {
 	if err := c.writeRecords(recordChangeCipherSpec, [][]byte{{1}}, km); err != nil {
 		return err
 	}
-	fin := &finishedMsg{verify: finishedData(c.master, c.isClient, c.transcriptHash())}
+	fin := &finishedMsg{verify: finishedData(c.prfHMAC, c.master, c.isClient, c.transcriptHash())}
 	return c.writeHandshake(fin.marshal())
 }
 
@@ -425,7 +426,7 @@ func (c *Conn) recvFinished(km *keyMaterial) error {
 	if err := c.arm(&c.in, km, !c.isClient); err != nil {
 		return err
 	}
-	want := finishedData(c.master, !c.isClient, c.transcriptHash())
+	want := finishedData(c.prfHMAC, c.master, !c.isClient, c.transcriptHash())
 	body, err := c.expectHandshake(typeFinished)
 	if err != nil {
 		return err
@@ -462,11 +463,13 @@ func (c *Conn) Handshake() error {
 		return c.hsErr
 	}
 	var err error
+	c.prfHMAC = newPRFMAC()
 	if c.isClient {
 		err = c.clientHandshake()
 	} else {
 		err = c.serverHandshake()
 	}
+	c.prfHMAC = nil // no PRF runs after the handshake
 	c.phaseMark("")
 	if p := c.tparent.Load(); p != nil {
 		// Client role: the driver attached the parent before Handshake,
@@ -549,7 +552,7 @@ func (c *Conn) clientHandshake() error {
 		}
 		c.resumed = true
 		c.master = cached.master
-		km := deriveKeys(c.master, clientRandom, sh.random, st.MACKeyLen, st.KeyLen, st.IVLen)
+		km := deriveKeys(c.prfHMAC, c.master, clientRandom, sh.random, st.MACKeyLen, st.KeyLen, st.IVLen)
 		// Server finishes first on resumption.
 		if err := c.recvFinished(&km); err != nil {
 			return err
@@ -637,8 +640,8 @@ func (c *Conn) clientHandshake() error {
 		return err
 	}
 	c.phaseMark("finished")
-	c.master = deriveMaster(premaster, clientRandom, sh.random)
-	km := deriveKeys(c.master, clientRandom, sh.random, st.MACKeyLen, st.KeyLen, st.IVLen)
+	c.master = deriveMaster(c.prfHMAC, premaster, clientRandom, sh.random)
+	km := deriveKeys(c.prfHMAC, c.master, clientRandom, sh.random, st.MACKeyLen, st.KeyLen, st.IVLen)
 
 	if err := c.sendFinished(&km); err != nil {
 		return err
@@ -752,8 +755,8 @@ func (c *Conn) serverHandshake() error {
 		}
 	}
 
-	c.master = deriveMaster(premaster, ch.random, serverRandom)
-	km := deriveKeys(c.master, ch.random, serverRandom, st.MACKeyLen, st.KeyLen, st.IVLen)
+	c.master = deriveMaster(c.prfHMAC, premaster, ch.random, serverRandom)
+	km := deriveKeys(c.prfHMAC, c.master, ch.random, serverRandom, st.MACKeyLen, st.KeyLen, st.IVLen)
 
 	c.phaseMark("finished")
 	if err := c.recvFinished(&km); err != nil {
@@ -784,7 +787,7 @@ func (c *Conn) serverResume(ch *clientHello, s *session, serverRandom []byte) er
 	if err := c.writeHandshake(sh.marshal()); err != nil {
 		return err
 	}
-	km := deriveKeys(c.master, ch.random, serverRandom, st.MACKeyLen, st.KeyLen, st.IVLen)
+	km := deriveKeys(c.prfHMAC, c.master, ch.random, serverRandom, st.MACKeyLen, st.KeyLen, st.IVLen)
 	if err := c.sendFinished(&km); err != nil {
 		return err
 	}

@@ -19,6 +19,12 @@ import (
 	"repro/internal/crypto/sha1"
 )
 
+// newPRFMAC returns an HMAC-SHA-1 for prf to re-key. A Conn keeps one
+// for all of its handshake's derivations.
+func newPRFMAC() *hmac.HMAC {
+	return hmac.New(func() hash.Hash { return sha1.New() }, nil)
+}
+
 // prf is the key-derivation function: the TLS P_hash construction
 // instantiated with HMAC-SHA-1 only (WTLS similarly used a single-hash
 // PRF, unlike TLS 1.0's MD5⊕SHA1 split — a documented simplification).
@@ -26,18 +32,21 @@ import (
 //	A(0) = seed, A(i) = HMAC(secret, A(i-1))
 //	out  = HMAC(secret, A(1)||seed) || HMAC(secret, A(2)||seed) || ...
 //
-// One keyed HMAC serves the whole expansion; Reset restores its saved
-// key-pad state for each A(i) and output block.
-func prf(secret []byte, label string, seed []byte, n int) []byte {
-	h := hmac.New(func() hash.Hash { return sha1.New() }, secret)
-	ls := append([]byte(label), seed...)
+// h is re-keyed with secret, which allocates nothing, and serves the
+// whole expansion; Reset restores its saved key-pad state for each A(i)
+// and output block. The output and one scratch buffer are the only
+// allocations.
+func prf(h *hmac.HMAC, secret []byte, label string, seed []byte, n int) []byte {
+	h.SetKey(secret)
+	// buf holds A(i) in its first sha1.Size bytes and label||seed after.
+	buf := make([]byte, sha1.Size, sha1.Size+len(label)+len(seed))
+	ls := append(append(buf[sha1.Size:], label...), seed...)
 	out := make([]byte, 0, n+sha1.Size)
-	var abuf [sha1.Size]byte
 	a := ls
 	for len(out) < n {
 		h.Reset()
 		h.Write(a)
-		a = h.Sum(abuf[:0])
+		a = h.Sum(buf[:0:sha1.Size])
 
 		h.Reset()
 		h.Write(a)
@@ -52,9 +61,9 @@ const masterSecretLen = 48
 
 // deriveMaster computes the master secret from the premaster and both
 // hello randoms.
-func deriveMaster(premaster, clientRandom, serverRandom []byte) []byte {
+func deriveMaster(h *hmac.HMAC, premaster, clientRandom, serverRandom []byte) []byte {
 	seed := append(append([]byte{}, clientRandom...), serverRandom...)
-	return prf(premaster, "master secret", seed, masterSecretLen)
+	return prf(h, premaster, "master secret", seed, masterSecretLen)
 }
 
 // keyMaterial is the per-direction key block carved from the PRF output.
@@ -65,10 +74,10 @@ type keyMaterial struct {
 }
 
 // deriveKeys expands the master secret into the connection key block.
-func deriveKeys(master, clientRandom, serverRandom []byte, macLen, keyLen, ivLen int) keyMaterial {
+func deriveKeys(h *hmac.HMAC, master, clientRandom, serverRandom []byte, macLen, keyLen, ivLen int) keyMaterial {
 	seed := append(append([]byte{}, serverRandom...), clientRandom...)
 	total := 2*macLen + 2*keyLen + 2*ivLen
-	block := prf(master, "key expansion", seed, total)
+	block := prf(h, master, "key expansion", seed, total)
 	var km keyMaterial
 	km.clientMAC, block = block[:macLen], block[macLen:]
 	km.serverMAC, block = block[:macLen], block[macLen:]
@@ -84,10 +93,10 @@ const finishedLen = 12
 
 // finishedData computes the Finished verify data over the handshake
 // transcript hash.
-func finishedData(master []byte, isClient bool, transcriptHash []byte) []byte {
+func finishedData(h *hmac.HMAC, master []byte, isClient bool, transcriptHash []byte) []byte {
 	label := "server finished"
 	if isClient {
 		label = "client finished"
 	}
-	return prf(master, label, transcriptHash, finishedLen)
+	return prf(h, master, label, transcriptHash, finishedLen)
 }

@@ -15,19 +15,24 @@ var mSessionEvictions = obs.C("wtls.session_evictions")
 // sessionShards stripes the cache locks. A gateway resuming millions of
 // sessions hits the cache on every handshake from every worker; 16
 // independently-locked shards keep that traffic from serializing on one
-// mutex while staying small enough to iterate for Len.
+// mutex while staying small enough to iterate for Size.
 const sessionShards = 16
+
+// DefaultSessionCacheEntries is the cap of every SessionCache not given a
+// positive one. A gateway stores one session per full handshake, and
+// most are never resumed, so an uncapped cache grows with every
+// handshake it serves; 4096 sessions keep a handshake flood to a few MB.
+const DefaultSessionCacheEntries = 4096
 
 // SessionCache stores resumable sessions, keyed by server name on
 // clients and by session ID on servers. It is sharded by key hash with
-// per-shard locks, and optionally bounds its size (LRU eviction) and
-// entry age (TTL). The zero limits — NewSessionCache — keep every entry
-// forever, matching the pre-sharding semantics.
+// per-shard locks, and bounds its size (LRU eviction) and optionally
+// its entry age (TTL).
 type SessionCache struct {
-	maxEntries int           // total cap across shards; 0 = unlimited
-	ttl        time.Duration // 0 = no expiry
-	now        func() time.Time
-	shards     [sessionShards]sessionShard
+	shardCap int           // LRU bound per shard
+	ttl      time.Duration // 0 = no expiry
+	now      func() time.Time
+	shards   [sessionShards]sessionShard
 }
 
 type sessionShard struct {
@@ -42,18 +47,26 @@ type sessionEntry struct {
 	savedAt time.Time
 }
 
-// NewSessionCache creates an unbounded session cache (no TTL, no LRU
-// cap).
+// NewSessionCache creates a session cache holding at most
+// DefaultSessionCacheEntries sessions, with no TTL.
 func NewSessionCache() *SessionCache {
 	return NewSessionCacheSized(0, 0)
 }
 
 // NewSessionCacheSized creates a session cache holding at most
-// maxEntries sessions (0 = unlimited), each resumable for at most ttl
-// after it was stored (0 = forever). Exceeding the cap evicts the least
-// recently used entry.
+// maxEntries sessions (DefaultSessionCacheEntries when maxEntries <= 0),
+// each resumable for at most ttl after it was stored (0 = forever).
+// Exceeding the cap evicts the least recently used entry of the key's
+// shard; each shard holds maxEntries/sessionShards, rounded up.
 func NewSessionCacheSized(maxEntries int, ttl time.Duration) *SessionCache {
-	sc := &SessionCache{maxEntries: maxEntries, ttl: ttl, now: time.Now}
+	if maxEntries <= 0 {
+		maxEntries = DefaultSessionCacheEntries
+	}
+	sc := &SessionCache{
+		shardCap: (maxEntries + sessionShards - 1) / sessionShards,
+		ttl:      ttl,
+		now:      time.Now,
+	}
 	for i := range sc.shards {
 		sc.shards[i].m = make(map[string]*list.Element)
 	}
@@ -70,18 +83,6 @@ func (sc *SessionCache) shard(key string) *sessionShard {
 	return &sc.shards[h%sessionShards]
 }
 
-// shardCap is the per-shard LRU bound implied by maxEntries.
-func (sc *SessionCache) shardCap() int {
-	if sc.maxEntries <= 0 {
-		return 0
-	}
-	c := (sc.maxEntries + sessionShards - 1) / sessionShards
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
 func (sc *SessionCache) put(key string, s *session) {
 	sh := sc.shard(key)
 	sh.mu.Lock()
@@ -94,7 +95,7 @@ func (sc *SessionCache) put(key string, s *session) {
 		return
 	}
 	sh.m[key] = sh.lru.PushFront(&sessionEntry{key: key, s: s, savedAt: sc.now()})
-	if limit := sc.shardCap(); limit > 0 && sh.lru.Len() > limit {
+	if sh.lru.Len() > sc.shardCap {
 		oldest := sh.lru.Back()
 		ent := oldest.Value.(*sessionEntry)
 		sh.lru.Remove(oldest)
@@ -135,7 +136,3 @@ func (sc *SessionCache) Size() int {
 	}
 	return n
 }
-
-// Len reports the number of cached sessions (alias of Size, kept for
-// existing callers).
-func (sc *SessionCache) Len() int { return sc.Size() }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crypto/prng"
 	"repro/internal/obs"
 )
 
@@ -40,8 +41,8 @@ func TestSessionCachePutGetOverwrite(t *testing.T) {
 	if got := sc.get("a"); got == nil || got.id[0] != 3 {
 		t.Fatal("overwrite did not replace the session")
 	}
-	if sc.Size() != 2 || sc.Len() != 2 {
-		t.Fatalf("Size=%d Len=%d, want 2", sc.Size(), sc.Len())
+	if sc.Size() != 2 {
+		t.Fatalf("Size=%d, want 2", sc.Size())
 	}
 }
 
@@ -167,5 +168,79 @@ func TestSessionCacheResumptionSemantics(t *testing.T) {
 	}
 	if c := run(); !c.State().Resumed {
 		t.Fatal("second handshake did not resume")
+	}
+}
+
+// TestSessionCacheBoundedByDefault: no constructor leaves the cache
+// unbounded. Three times the default cap of distinct puts leave at most
+// the cap.
+func TestSessionCacheBoundedByDefault(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sc   *SessionCache
+	}{
+		{"NewSessionCache()", NewSessionCache()},
+		{"NewSessionCacheSized(0, time.Minute)", NewSessionCacheSized(0, time.Minute)},
+		{"NewSessionCacheSized(-1, 0)", NewSessionCacheSized(-1, 0)},
+	} {
+		for i := 0; i < 3*DefaultSessionCacheEntries; i++ {
+			tc.sc.put(fmt.Sprintf("server:%d", i), testSession(byte(i)))
+		}
+		if n := tc.sc.Size(); n > DefaultSessionCacheEntries {
+			t.Errorf("%s holds %d sessions after %d puts, want <= %d",
+				tc.name, n, 3*DefaultSessionCacheEntries, DefaultSessionCacheEntries)
+		}
+	}
+}
+
+// TestSessionCacheEvictedSessionFallsBack: over real handshakes against a
+// default-capped server cache, a session resumes while its shard holds
+// fewer newer sessions than its cap, and once evicted the client's offer
+// falls back to a full handshake whose fresh session resumes again.
+func TestSessionCacheEvictedSessionFallsBack(t *testing.T) {
+	clientCache, serverCache := NewSessionCache(), NewSessionCache()
+	runs := 0
+	run := func() *Conn {
+		runs++
+		scfg := serverConfig(t)
+		scfg.Rand = prng.NewDRBG([]byte(fmt.Sprintf("server-rand-%d", runs)))
+		scfg.SessionCache = serverCache
+		ccfg := clientConfig(t)
+		ccfg.SessionCache = clientCache
+		c, _, _ := handshakePair(t, ccfg, scfg)
+		return c
+	}
+	// fill stores n newer sessions in the shard that holds key.
+	fill := func(key, tag string, n int) {
+		want := serverCache.shard(key)
+		for i, added := 0, 0; added < n; i++ {
+			k := fmt.Sprintf("server:%s-%d", tag, i)
+			if serverCache.shard(k) == want {
+				serverCache.put(k, testSession(byte(i)))
+				added++
+			}
+		}
+	}
+
+	c := run()
+	if c.State().Resumed {
+		t.Fatal("first handshake resumed")
+	}
+	key := "server:" + string(c.sessionID)
+	fill(key, "a", serverCache.shardCap-1)
+	if c := run(); !c.State().Resumed {
+		t.Fatal("a session stored within the shard's cap did not resume")
+	}
+
+	fill(key, "b", serverCache.shardCap)
+	c = run()
+	if c.State().Resumed {
+		t.Fatal("an evicted session resumed")
+	}
+	if "server:"+string(c.sessionID) == key {
+		t.Fatal("the fallback full handshake reused the evicted session ID")
+	}
+	if c := run(); !c.State().Resumed {
+		t.Fatal("the session stored by the fallback did not resume")
 	}
 }

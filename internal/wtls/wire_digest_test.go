@@ -59,9 +59,10 @@ func TestHandshakeWireDigest(t *testing.T) {
 		{"resumed-rc4", 0x0004, false, true, true,
 			"cb8c2f621daf241d89b686463c077ecbd332a267df903985c30ffdb44ca2c354",
 			"4bfc8660db2cca17211c4c0757f2b956c3989e6f3ca0219d90e8f99eded6d9e2"},
+		// The DHE row also pins the group TestDHGroupPinned pins.
 		{"dhe-3des", 0x0016, true, false, false,
-			"49eb1eb43d732d36d1c368e490202f355a220cb09de3bb69a39c5d67e5187f7a",
-			"f021e0adb0fc7250fd0f50f21336071da8ad249158e18bb749438eee10c29896"},
+			"280d3d12333b96de4cccc50fc997675dfbb26a2157ff03d9929d80b96db690c4",
+			"23a1aeb4d0b9b44fc37eace5db8f41d6b2bc2e6ca4327cba9f829c77dede450b"},
 	} {
 		ccfg, scfg := clientConfig(t), serverConfig(t)
 		ccfg.Suites = []uint16{tc.suite}

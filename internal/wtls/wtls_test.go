@@ -182,10 +182,15 @@ func testDHGroup(t testing.TB) *dh.Group {
 }
 
 // TestDHGroupPinned pins the group the DHE tests run on. The search may
-// get faster, but the "wtls-dh-group" seed must keep finding this prime.
+// get faster, but the "wtls-dh-group" seed must keep finding this 512-bit
+// prime.
 func TestDHGroupPinned(t *testing.T) {
-	h := sha256.Sum256(testDHGroup(t).P.Bytes())
-	if got, want := hex.EncodeToString(h[:8]), "c4fe21c8d3ceb7ff"; got != want {
+	p := testDHGroup(t).P
+	if n := p.BitLen(); n != 512 {
+		t.Fatalf("wtls-dh-group P has %d bits, want 512", n)
+	}
+	h := sha256.Sum256(p.Bytes())
+	if got, want := hex.EncodeToString(h[:8]), "17b4f3e128d25a13"; got != want {
 		t.Fatalf("wtls-dh-group P digest %s, want %s", got, want)
 	}
 }
@@ -499,29 +504,32 @@ func TestCertificateTamperDetected(t *testing.T) {
 }
 
 func TestPRFProperties(t *testing.T) {
-	a := prf([]byte("secret"), "label", []byte("seed"), 40)
-	b := prf([]byte("secret"), "label", []byte("seed"), 40)
+	h := newPRFMAC()
+	a := prf(h, []byte("secret"), "label", []byte("seed"), 40)
+	b := prf(h, []byte("secret"), "label", []byte("seed"), 40)
 	if !bytes.Equal(a, b) {
 		t.Fatal("PRF not deterministic")
 	}
-	if bytes.Equal(a, prf([]byte("secret2"), "label", []byte("seed"), 40)) {
+	if bytes.Equal(a, prf(h, []byte("secret2"), "label", []byte("seed"), 40)) {
 		t.Fatal("PRF ignores secret")
 	}
-	if bytes.Equal(a, prf([]byte("secret"), "label2", []byte("seed"), 40)) {
+	if bytes.Equal(a, prf(h, []byte("secret"), "label2", []byte("seed"), 40)) {
 		t.Fatal("PRF ignores label")
 	}
-	if bytes.Equal(a, prf([]byte("secret"), "label", []byte("seed2"), 40)) {
+	if bytes.Equal(a, prf(h, []byte("secret"), "label", []byte("seed2"), 40)) {
 		t.Fatal("PRF ignores seed")
 	}
-	long := prf([]byte("s"), "l", []byte("x"), 100)
-	if !bytes.Equal(long[:40], prf([]byte("s"), "l", []byte("x"), 40)) {
+	long := prf(h, []byte("s"), "l", []byte("x"), 100)
+	if !bytes.Equal(long[:40], prf(h, []byte("s"), "l", []byte("x"), 40)) {
 		t.Fatal("PRF prefix property violated")
 	}
 }
 
 // TestPRFAgainstStdlib diffs prf against the P_hash construction built
 // on crypto/hmac, for secrets shorter than, equal to and longer than the
-// SHA-1 block and outputs that end inside or on an HMAC block.
+// SHA-1 block and outputs that end inside or on an HMAC block. One HMAC
+// serves every case, as one serves a whole handshake, so each case also
+// checks that re-keying leaves nothing of the previous secret behind.
 func TestPRFAgainstStdlib(t *testing.T) {
 	ref := func(secret []byte, label string, seed []byte, n int) []byte {
 		ls := append([]byte(label), seed...)
@@ -539,11 +547,12 @@ func TestPRFAgainstStdlib(t *testing.T) {
 		return out[:n]
 	}
 	seed := bytes.Repeat([]byte{0x5a, 0x17, 0xc3}, 22)
+	h := newPRFMAC()
 	for _, sl := range []int{0, 1, 20, 48, 64, 65, 100} {
 		secret := bytes.Repeat([]byte{byte(sl) | 1}, sl)
 		for _, n := range []int{0, 1, finishedLen, 20, 21, masterSecretLen, 104} {
 			for _, label := range []string{"", "master secret", "key expansion"} {
-				got := prf(secret, label, seed[:n%len(seed)], n)
+				got := prf(h, secret, label, seed[:n%len(seed)], n)
 				if want := ref(secret, label, seed[:n%len(seed)], n); !bytes.Equal(got, want) {
 					t.Fatalf("secret %d B, label %q, n %d: got %x, want %x", sl, label, n, got, want)
 				}
@@ -552,18 +561,30 @@ func TestPRFAgainstStdlib(t *testing.T) {
 	}
 }
 
+// TestPRFReusedMACAllocs: with the HMAC reused, a key-block expansion
+// allocates only its scratch buffer and its output.
+func TestPRFReusedMACAllocs(t *testing.T) {
+	h := newPRFMAC()
+	master := bytes.Repeat([]byte{7}, masterSecretLen)
+	seed := bytes.Repeat([]byte{9}, 64)
+	if n := testing.AllocsPerRun(100, func() { prf(h, master, "key expansion", seed, 104) }); n > 2 {
+		t.Fatalf("prf with a reused HMAC made %.0f allocations, want <= 2", n)
+	}
+}
+
 func TestKeyDerivationSeparation(t *testing.T) {
 	master := []byte("0123456789012345678901234567890123456789ажabcdef")[:48]
 	cr := bytes.Repeat([]byte{1}, 32)
 	sr := bytes.Repeat([]byte{2}, 32)
-	km := deriveKeys(master, cr, sr, 20, 24, 8)
+	h := newPRFMAC()
+	km := deriveKeys(h, master, cr, sr, 20, 24, 8)
 	if bytes.Equal(km.clientMAC, km.serverMAC) || bytes.Equal(km.clientKey, km.serverKey) {
 		t.Fatal("directional keys must differ")
 	}
 	if len(km.clientIV) != 8 || len(km.serverIV) != 8 {
 		t.Fatal("IV lengths wrong")
 	}
-	km2 := deriveKeys(master, sr, cr, 20, 24, 8) // swapped randoms
+	km2 := deriveKeys(h, master, sr, cr, 20, 24, 8) // swapped randoms
 	if bytes.Equal(km.clientKey, km2.clientKey) {
 		t.Fatal("key block ignores random ordering")
 	}
@@ -664,18 +685,18 @@ func TestResumptionSkippedWhenSuiteNotOffered(t *testing.T) {
 	}
 }
 
-// TestSessionCacheLen sanity-checks the cache bookkeeping.
-func TestSessionCacheLen(t *testing.T) {
+// TestSessionCacheSize sanity-checks the cache bookkeeping.
+func TestSessionCacheSize(t *testing.T) {
 	cache := NewSessionCache()
-	if cache.Len() != 0 {
+	if cache.Size() != 0 {
 		t.Fatal("fresh cache not empty")
 	}
 	scfg := serverConfig(t)
 	scfg.SessionCache = cache
 	ccfg := clientConfig(t)
 	handshakePair(t, ccfg, scfg)
-	if cache.Len() != 1 {
-		t.Fatalf("server cache has %d sessions, want 1", cache.Len())
+	if cache.Size() != 1 {
+		t.Fatalf("server cache has %d sessions, want 1", cache.Size())
 	}
 }
 

@@ -245,10 +245,12 @@ var (
 
 	// NewCA creates a certificate authority.
 	NewCA = wtls.NewCA
-	// NewSessionCache creates an unbounded resumption cache.
+	// NewSessionCache creates a resumption cache with the default LRU
+	// entry cap and no TTL.
 	NewSessionCache = wtls.NewSessionCache
 	// NewSessionCacheSized creates a resumption cache with an LRU entry
-	// cap and a TTL (either may be zero for unlimited).
+	// cap (the default cap when it is not positive) and a TTL (zero for
+	// no expiry).
 	NewSessionCacheSized = wtls.NewSessionCacheSized
 	// WTLSClient wraps a transport as a WTLS client.
 	WTLSClient = wtls.Client
