@@ -264,7 +264,13 @@ func (r *Runner) LastErr() error {
 // attempt that got that far, traffic and chaos faults summed over every
 // attempt (retried attempts were real wire activity).
 type sessionStats struct {
-	start       time.Time
+	start time.Time
+	// spanUS is the tracer stamp that opens the session's root and its
+	// first attempt span together, then the one that closed the latest
+	// attempt, which also closes the root. Scheduler delay before the
+	// first attempt or after the last thus never reads as uncovered
+	// session time.
+	spanUS      int64
 	attempts    int64
 	handshakeUS int64
 	resumed     bool
@@ -284,6 +290,7 @@ type sessionStats struct {
 func (r *Runner) runSession(id int) {
 	pol := r.cfg.Backoff
 	pol.Seed = r.cfg.Seed ^ int64(id)*0x9e3779b9
+	st := sessionStats{start: time.Now()}
 	var root *obs.DSpan
 	var sleep func(time.Duration)
 	if obs.DTraceEnabled() {
@@ -293,7 +300,8 @@ func (r *Runner) runSession(id int) {
 		// at any concurrency.
 		var tb [8]byte
 		prng.NewDRBG([]byte(fmt.Sprintf("load/trace/%d/%d", r.cfg.Seed, id))).Read(tb[:])
-		root = obs.DefaultDTracer.Root(obs.TraceIDFromBytes(tb[:]), "load", "session")
+		st.spanUS = obs.DTraceNowUS()
+		root = obs.DefaultDTracer.RootAt(obs.TraceIDFromBytes(tb[:]), 0, "load", "session", st.spanUS)
 		if root != nil {
 			// Backoff sleeps become spans: time the session spent parked
 			// between attempts, attributed so the critical-path analyzer
@@ -305,7 +313,6 @@ func (r *Runner) runSession(id int) {
 			}
 		}
 	}
-	st := sessionStats{start: time.Now()}
 	err := backoff.Retry(r.cfg.Attempts, pol, sleep, func(attempt int) error {
 		if attempt > 0 {
 			r.retries.Add(1)
@@ -346,7 +353,7 @@ func (r *Runner) runSession(id int) {
 		journal.Emit(int64(id), lv, "load", "session", fields...)
 	}
 	root.SetN(st.bytes)
-	root.End()
+	root.EndAt(st.spanUS)
 
 	if err != nil {
 		r.failed.Add(1)
@@ -361,8 +368,17 @@ func (r *Runner) runSession(id int) {
 }
 
 func (r *Runner) attempt(id, attempt int, st *sessionStats, root *obs.DSpan) error {
-	asp := root.Child("load", "attempt")
-	defer asp.End()
+	var asp *obs.DSpan
+	if root != nil {
+		if attempt > 0 {
+			st.spanUS = obs.DTraceNowUS()
+		}
+		asp = root.ChildAt("load", "attempt", st.spanUS)
+		defer func() {
+			st.spanUS = obs.DTraceNowUS()
+			asp.EndAt(st.spanUS)
+		}()
+	}
 	var d0 int64
 	if asp != nil {
 		d0 = obs.DTraceNowUS()

@@ -263,27 +263,31 @@ func (c *Conn) Metrics() Metrics {
 	return c.metrics
 }
 
-// writeRecords is the one outbound record path. It seals frags as
-// consecutive records of one type with SealBatch and flushes them with
-// one transport write, all under the write lock: the sealed bytes alias
-// the half connection's scratch and must reach the wire before the next
-// seal, and concurrent writers' records must not interleave. A non-nil
-// km arms the outbound keys inside the same hold, right after the
-// ChangeCipherSpec that announces them, so a concurrent alert cannot
-// slip between the two with stale keys.
-func (c *Conn) writeRecords(recType uint8, frags [][]byte, km *keyMaterial) error {
+// writeRecords is the one outbound record path. Under the write lock it
+// seals frags as consecutive records of one type with SealBatch, after
+// the flight pending in the half connection's wire buffer. send writes
+// that flight and these records in one transport write; otherwise they
+// stay pending. A handshake sends each flight before it next reads.
+// Application data and alerts always send, so an alert carries out what
+// a failed flight held, and nothing follows it. A non-nil km arms the
+// outbound keys inside the same hold, right after the ChangeCipherSpec
+// that announces them, so the Finished sealed next uses them and a
+// concurrent alert cannot slip between the two with stale keys.
+func (c *Conn) writeRecords(recType uint8, frags [][]byte, km *keyMaterial, send bool) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	wire, err := c.out.SealBatch(recType, frags)
 	if err != nil {
 		return err
 	}
-	if err := writeFull(c.conn, wire); err != nil {
-		return err
-	}
 	c.mmu.Lock()
 	c.metrics.RecordsSent += len(frags)
 	c.mmu.Unlock()
+	if !send {
+		c.out.wireBuf = wire
+	} else if err := writeFull(c.conn, wire); err != nil {
+		return err
+	}
 	if km == nil {
 		return nil
 	}
@@ -301,7 +305,7 @@ func (c *Conn) arm(hc *halfConn, km *keyMaterial, clientWrites bool) error {
 
 // sendAlert writes an alert record (best effort).
 func (c *Conn) sendAlert(level, desc uint8) {
-	_ = c.writeRecords(recordAlert, [][]byte{{level, desc}}, nil)
+	_ = c.writeRecords(recordAlert, [][]byte{{level, desc}}, nil, true)
 }
 
 // fail sends a fatal alert and returns err wrapped with the alert's
@@ -311,11 +315,11 @@ func (c *Conn) fail(desc uint8, err error) error {
 	return fmt.Errorf("wtls: sent %s alert: %w", alertName(desc), err)
 }
 
-// writeHandshake transcripts one handshake message and sends it as one
-// record.
-func (c *Conn) writeHandshake(msg []byte) error {
+// writeHandshake transcripts one handshake message and seals it as one
+// record of the pending flight; send ends the flight and writes it.
+func (c *Conn) writeHandshake(msg []byte, send bool) error {
 	c.transcript.Write(msg)
-	return c.writeRecords(recordHandshake, [][]byte{msg}, nil)
+	return c.writeRecords(recordHandshake, [][]byte{msg}, nil, send)
 }
 
 // recvRecord is the one inbound record path. It reads the next record;
@@ -406,14 +410,15 @@ func (c *Conn) expectHandshake(want uint8) ([]byte, error) {
 	return body, nil
 }
 
-// sendFinished sends ChangeCipherSpec, arming the outbound keys, then
-// this side's Finished over the transcript so far.
+// sendFinished ends this side's last flight: ChangeCipherSpec, arming
+// the outbound keys, then this side's Finished over the transcript so
+// far, sent in one write with whatever the flight already holds.
 func (c *Conn) sendFinished(km *keyMaterial) error {
-	if err := c.writeRecords(recordChangeCipherSpec, [][]byte{{1}}, km); err != nil {
+	if err := c.writeRecords(recordChangeCipherSpec, [][]byte{{1}}, km, false); err != nil {
 		return err
 	}
 	fin := &finishedMsg{verify: finishedData(c.prfHMAC, c.master, c.isClient, c.transcriptHash())}
-	return c.writeHandshake(fin.marshal())
+	return c.writeHandshake(fin.marshal(), true)
 }
 
 // recvFinished reads the peer's ChangeCipherSpec, arming the inbound
@@ -523,7 +528,7 @@ func (c *Conn) clientHandshake() error {
 		}
 	}
 	hello := &clientHello{random: clientRandom, sessionID: offerID, suites: c.cfg.suitesOrDefault()}
-	if err := c.writeHandshake(hello.marshal()); err != nil {
+	if err := c.writeHandshake(hello.marshal(), true); err != nil {
 		return err
 	}
 
@@ -636,7 +641,7 @@ func (c *Conn) clientHandshake() error {
 		return c.fail(AlertHandshakeFailed, fmt.Errorf("wtls: unsupported key exchange %q", st.KexName))
 	}
 
-	if err := c.writeHandshake(ckx.marshal()); err != nil {
+	if err := c.writeHandshake(ckx.marshal(), false); err != nil {
 		return err
 	}
 	c.phaseMark("finished")
@@ -700,11 +705,11 @@ func (c *Conn) serverHandshake() error {
 
 	c.sessionID = c.cfg.Rand.Bytes(16)
 	sh := &serverHello{random: serverRandom, sessionID: c.sessionID, suite: st.ID}
-	if err := c.writeHandshake(sh.marshal()); err != nil {
+	if err := c.writeHandshake(sh.marshal(), false); err != nil {
 		return err
 	}
 	c.phaseMark("key_exchange")
-	if err := c.writeHandshake((&certificateMsg{cert: c.cfg.Certificate.Marshal()}).marshal()); err != nil {
+	if err := c.writeHandshake((&certificateMsg{cert: c.cfg.Certificate.Marshal()}).marshal(), false); err != nil {
 		return err
 	}
 
@@ -721,11 +726,11 @@ func (c *Conn) serverHandshake() error {
 			return c.fail(AlertHandshakeFailed, err)
 		}
 		skx.signature = sig
-		if err := c.writeHandshake(skx.marshal()); err != nil {
+		if err := c.writeHandshake(skx.marshal(), false); err != nil {
 			return err
 		}
 	}
-	if err := c.writeHandshake(wrapHandshake(typeServerHelloDone, nil)); err != nil {
+	if err := c.writeHandshake(wrapHandshake(typeServerHelloDone, nil), true); err != nil {
 		return err
 	}
 
@@ -784,7 +789,7 @@ func (c *Conn) serverResume(ch *clientHello, s *session, serverRandom []byte) er
 	c.sessionID = s.id
 	c.master = s.master
 	sh := &serverHello{random: serverRandom, sessionID: s.id, suite: st.ID, resumed: true}
-	if err := c.writeHandshake(sh.marshal()); err != nil {
+	if err := c.writeHandshake(sh.marshal(), false); err != nil {
 		return err
 	}
 	km := deriveKeys(c.prfHMAC, c.master, ch.random, serverRandom, st.MACKeyLen, st.KeyLen, st.IVLen)
@@ -822,7 +827,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			batchBytes += m
 			p = p[m:]
 		}
-		if err := c.writeRecords(recordApplicationData, frags[:n], nil); err != nil {
+		if err := c.writeRecords(recordApplicationData, frags[:n], nil, true); err != nil {
 			return total, err
 		}
 		if tsp != nil {

@@ -124,7 +124,7 @@ type halfConn struct {
 	hmac    hash.Hash
 	macBuf  []byte
 	macHdr  []byte
-	wireBuf []byte // seal side: framed records [hdr|fragment]...
+	wireBuf []byte // seal side: framed records [hdr|fragment]...; any length is a pending flight
 	openBuf []byte // open side: decrypted plaintext payloads
 
 	// Cached energy/cycle profile frames for the suite's kernels (set by
@@ -259,10 +259,13 @@ func (hc *halfConn) observe(records, bytes *obs.Counter, n, payloadBytes int) {
 
 // SealBatch seals payloads as consecutive records into one wire buffer,
 // amortizing HMAC state, CBC IV chaining and metric updates across the
-// batch. The returned slice holds the ready-to-write framed records and
-// aliases the half connection's scratch — valid until the next seal.
+// batch. The records follow any pending in wireBuf (a handshake flight
+// still being built, see Conn.writeRecords); the returned slice holds
+// those and the new records, ready to write, and nothing stays pending.
+// It aliases the half connection's scratch — valid until the next seal.
+// A failed seal drops the pending records too.
 func (hc *halfConn) SealBatch(recType uint8, payloads [][]byte) ([]byte, error) {
-	out := hc.wireBuf[:0]
+	out := hc.wireBuf
 	total := 0
 	var err error
 	for _, p := range payloads {

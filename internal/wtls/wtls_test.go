@@ -398,7 +398,7 @@ func TestEmptyRecordFlood(t *testing.T) {
 	} {
 		client, server, _ := handshakePair(t, clientConfig(t), serverConfig(t))
 		for i := 0; i < tc.empties; i++ {
-			if err := client.writeRecords(recordApplicationData, [][]byte{nil}, nil); err != nil {
+			if err := client.writeRecords(recordApplicationData, [][]byte{nil}, nil, true); err != nil {
 				t.Fatal(err)
 			}
 		}
