@@ -12,7 +12,7 @@
 //
 // Observability rides the standard flags (-metrics, -journal, -slo,
 // -pprof …); with -pprof the live /progress endpoint reports sessions
-// served, so `mswatch <addr>` can watch a soak in flight. With -dtrace
+// served, so a soak can be watched in flight. With -dtrace
 // the server adopts the trace context a tracing msload sends in its
 // first application record and records its half of each sampled
 // session — queue wait, handshake phases, record batches — under the

@@ -31,7 +31,7 @@ var ErrSLOStrict = errors.New("critical SLO rule fired (strict mode)")
 // -series-interval wall clock or by the cmd's SeriesTick). -slo and
 // -slo-strict evaluate rules over the series windows as they are cut
 // and over the registry at run end; -pprof serves the live endpoints
-// (see ServeConfig).
+// (see serve).
 //
 // Usage in a cmd:
 //
@@ -79,7 +79,7 @@ func BindFlags(fs *flag.FlagSet) *CLI {
 	fs.BoolVar(&c.sloStrict, "slo-strict", false, "exit nonzero when a crit-severity SLO rule fires")
 	fs.StringVar(&c.seriesPath, "series", "", "record windowed metric time-series and write them (JSONL) to this file on exit")
 	fs.DurationVar(&c.seriesEvery, "series-interval", 0, "cut wall-clock series windows on this period (0 = model-time ticks from the cmd)")
-	fs.StringVar(&c.pprofAddr, "pprof", "", "serve pprof/expvar/metrics/events/progress HTTP endpoints on this address (e.g. localhost:6060)")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve pprof/expvar/metrics/progress HTTP endpoints on this address (e.g. localhost:6060)")
 	return c
 }
 
@@ -98,13 +98,12 @@ type sink struct {
 }
 
 // sinks is the file-sink table. The metrics registry is also armed for
-// the live server, SLO rules and the series recorder, which read it
-// without -metrics; the journal is armed for the live /events stream.
+// the live /metrics endpoint, SLO rules and the series recorder, which
+// read it without -metrics.
 func (c *CLI) sinks() []sink {
-	live := c.pprofAddr != ""
 	return []sink{{
 		flag: "metrics", path: &c.metricsPath,
-		on:  c.metricsPath != "" || live || c.sloPath != "" || c.seriesPath != "",
+		on:  c.metricsPath != "" || c.pprofAddr != "" || c.sloPath != "" || c.seriesPath != "",
 		set: Default.SetEnabled,
 		write: func(w io.Writer) error {
 			s := Default.Snapshot()
@@ -131,7 +130,7 @@ func (c *CLI) sinks() []sink {
 		flag: "profile", path: &c.profilePath, on: c.profilePath != "",
 		set: prof.Default.SetEnabled, write: prof.Default.WriteJSON,
 	}, {
-		flag: "journal", path: &c.journalPath, on: c.journalPath != "" || live,
+		flag: "journal", path: &c.journalPath, on: c.journalPath != "",
 		set: func(on bool) {
 			if on {
 				journal.Default.SetMinLevel(c.level)
@@ -197,12 +196,12 @@ func (c *CLI) Activate() error {
 		s.set(true)
 	}
 	if c.pprofAddr != "" {
-		addr, shutdown, err := ServeConfig(c.pprofAddr, ServerConfig{Registry: Default, Journal: journal.Default})
+		addr, shutdown, err := serve(c.pprofAddr, Default)
 		if err != nil {
 			return fail(err)
 		}
 		c.shutdown = shutdown
-		fmt.Fprintf(os.Stderr, "obs: pprof/metrics/events/progress on http://%s/\n", addr)
+		fmt.Fprintf(os.Stderr, "obs: pprof/metrics/progress on http://%s/\n", addr)
 	}
 	if c.seriesEvery > 0 {
 		// Wall-clock windows for tools with no model clock (gateway,
@@ -257,7 +256,7 @@ func (c *CLI) validate() error {
 }
 
 // emitFirings turns fired rules into journal events so they reach the
-// -journal file and /events subscribers.
+// -journal file.
 func emitFirings(firings []slo.Firing) {
 	for _, f := range firings {
 		lv := journal.LevelWarn

@@ -271,7 +271,8 @@ func TestActivateSeriesIntervalNeedsSeries(t *testing.T) {
 
 // TestProgressResolvedPerRequest: the cmd registers its progress source
 // after Activate has started the debug server, and /progress must serve
-// it.
+// it. -pprof alone arms the registry /metrics reads but not the journal,
+// and Close stops the server without leaving a goroutine behind.
 func TestProgressResolvedPerRequest(t *testing.T) {
 	disarmDefaults(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -280,11 +281,16 @@ func TestProgressResolvedPerRequest(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
+	before := runtime.NumGoroutine()
 	c, err := activate(t, "-pprof", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if !Default.Enabled() || journal.Default.Enabled() {
+		t.Fatalf("-pprof armed metrics=%v journal=%v, want metrics only",
+			Default.Enabled(), journal.Default.Enabled())
+	}
 	SetProgressSource(func() Progress { return Progress{Label: "cli_test"} })
 	resp, err := http.Get("http://" + addr + "/progress")
 	if err != nil {
@@ -294,6 +300,23 @@ func TestProgressResolvedPerRequest(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"label":"cli_test"`) {
 		t.Fatalf("/progress = %d %q, want the source registered after Activate", resp.StatusCode, body)
+	}
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if conn, err := net.Dial("tcp", addr); err == nil {
+		conn.Close()
+		t.Fatalf("%s still accepts connections after Close", addr)
+	}
+	// The Serve loop, its connection handlers and the client's
+	// keep-alive goroutines all exit once the server has shut down.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("Close leaked goroutines: %d -> %d", before, n)
 	}
 }
 

@@ -76,8 +76,8 @@ func appendJSONString(dst []byte, s string) []byte {
 
 // ParseLine decodes one JSONL line produced by AppendJSON. Unknown keys,
 // nested kv values, and malformed levels are errors. Events returned by
-// ParseLine have a zero merge seq; they are for tooling (mswatch,
-// benchreg), not for re-injection into a live journal.
+// ParseLine have a zero merge seq; they are for tooling (benchreg reads
+// journals through LoadFile), not for re-injection into a live journal.
 func ParseLine(line []byte) (Event, error) {
 	var e Event
 	dec := json.NewDecoder(strings.NewReader(string(line)))

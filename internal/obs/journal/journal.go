@@ -142,11 +142,6 @@ type Journal struct {
 	cap     int64
 
 	stripes [nStripes]stripe
-
-	subMu  sync.Mutex
-	subSeq int
-	subs   map[int]chan Event
-	nsubs  atomic.Int32
 }
 
 // DefaultCapacity bounds the default journal's buffer; past it new
@@ -212,52 +207,6 @@ func (j *Journal) Emit(tSim int64, lv Level, layer, event string, fields ...Fiel
 	s.mu.Lock()
 	s.events = append(s.events, e)
 	s.mu.Unlock()
-	if j.nsubs.Load() > 0 {
-		j.fanout(e)
-	}
-}
-
-// fanout delivers e to every subscriber without blocking: a slow
-// consumer loses events rather than stalling the instrumented layer.
-func (j *Journal) fanout(e Event) {
-	j.subMu.Lock()
-	for _, ch := range j.subs {
-		select {
-		case ch <- e:
-		default:
-		}
-	}
-	j.subMu.Unlock()
-}
-
-// Subscribe registers a live event consumer (for the /events SSE
-// endpoint). Events arrive in emission order, which is wall-clock order,
-// not the deterministic merge order of Events. The returned cancel
-// function closes the channel and must be called exactly once.
-func (j *Journal) Subscribe(buf int) (<-chan Event, func()) {
-	if buf < 1 {
-		buf = 64
-	}
-	ch := make(chan Event, buf)
-	j.subMu.Lock()
-	if j.subs == nil {
-		j.subs = make(map[int]chan Event)
-	}
-	id := j.subSeq
-	j.subSeq++
-	j.subs[id] = ch
-	j.nsubs.Store(int32(len(j.subs)))
-	j.subMu.Unlock()
-	cancel := func() {
-		j.subMu.Lock()
-		if _, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(ch)
-		}
-		j.nsubs.Store(int32(len(j.subs)))
-		j.subMu.Unlock()
-	}
-	return ch, cancel
 }
 
 // Dropped reports how many events the capacity bound discarded.

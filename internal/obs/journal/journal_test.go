@@ -154,33 +154,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestSubscribe(t *testing.T) {
-	j := New(256)
-	j.SetEnabled(true)
-	ch, cancel := j.Subscribe(16)
-	j.Emit(3, LevelWarn, "arq", "link_down", I("attempts", 8))
-	select {
-	case e := <-ch:
-		if e.Name != "link_down" || e.TSim != 3 {
-			t.Fatalf("subscriber got %+v", e)
-		}
-	default:
-		t.Fatal("subscriber did not receive event")
-	}
-	cancel()
-	if _, ok := <-ch; ok {
-		t.Fatal("channel not closed after cancel")
-	}
-	// A full subscriber must not block the emitter.
-	ch2, cancel2 := j.Subscribe(1)
-	defer cancel2()
-	j.Emit(0, LevelInfo, "x", "a")
-	j.Emit(1, LevelInfo, "x", "b") // would block if fanout were blocking
-	if e := <-ch2; e.Name != "a" {
-		t.Fatalf("got %q, want oldest buffered event", e.Name)
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	e := Event{TSim: 42, Level: LevelWarn, Layer: "wtls", Name: "alert_abort",
 		Fields: []Field{
