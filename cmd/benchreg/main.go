@@ -1,12 +1,13 @@
 // Command benchreg is the bench-regression harness: it runs the
-// repository's Benchmark* suite under `go test -bench`, records ns/op,
-// B/op and allocs/op per benchmark into a dated JSON snapshot, and —
-// given a baseline snapshot — fails when any benchmark's ns/op regresses
-// past a configurable threshold. CI runs it against the committed
-// baseline; developers refresh the baseline with -out after intentional
-// performance changes. Both run the default -bench, the gated rung list,
-// and -out refuses to replace a snapshot with a run that lacks any of its
-// benchmarks.
+// repository's Benchmark* suite under `go test -bench` in one fixed
+// configuration (-benchtime 1000x, -count 3, every package), records
+// ns/op, B/op and allocs/op per benchmark into a JSON snapshot, and —
+// given a baseline snapshot — fails when any benchmark regresses past
+// the gate. CI runs it against the committed baseline; developers
+// refresh the baseline with -out after intentional performance changes.
+// Without -out it writes no file. Both run the default -bench, the
+// gated rung list, and -out refuses to replace a snapshot with a run
+// that lacks any of its benchmarks.
 package main
 
 import (
@@ -24,9 +25,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/obs/history"
-	"repro/internal/obs/journal"
+	"time"
 )
 
 // Result is one benchmark's recorded costs. Extra holds custom
@@ -41,10 +40,9 @@ type Result struct {
 	Iterations  int64              `json:"iterations"`
 }
 
-// Snapshot is the JSON file layout. Commit and Fingerprint tie the
-// numbers back to the code and configuration that produced them, so a
-// snapshot (or the bench/history.jsonl entry derived from it) is
-// traceable long after the working tree moves on.
+// Snapshot is the JSON file layout. Commit ties the numbers back to the
+// code that produced them, so a snapshot stays traceable long after the
+// working tree moves on.
 type Snapshot struct {
 	Date      string `json:"date"`
 	GoVersion string `json:"go_version"`
@@ -53,14 +51,9 @@ type Snapshot struct {
 	BenchTime string `json:"benchtime"`
 	// NumCPU is the host's logical core count; rungs that run in
 	// parallel (the aggregate benchmark) scale with it.
-	NumCPU      int    `json:"num_cpu,omitempty"`
-	Commit      string `json:"commit"`
-	Fingerprint string `json:"config_fingerprint"`
-	// SLOFired counts the slo_fired events in the run journal given via
-	// -journal (0 when none was given), so a snapshot records not just
-	// how fast the run was but whether it stayed inside its budgets.
-	SLOFired int               `json:"slo_fired"`
-	Results  map[string]Result `json:"results"`
+	NumCPU  int               `json:"num_cpu,omitempty"`
+	Commit  string            `json:"commit"`
+	Results map[string]Result `json:"results"`
 }
 
 // rungs is the default -bench regexp: the benchmark ladder that CI gates
@@ -71,19 +64,26 @@ const rungs = "BenchmarkCipherThroughput|BenchmarkDESBlock|Benchmark3DESBlock|Be
 	"BenchmarkModExp512|BenchmarkModExpConstTime512|BenchmarkSignCRT512|BenchmarkWTLSHandshake|" +
 	"BenchmarkDRBGRead|BenchmarkHMACSHA1|BenchmarkESPSealOpen|BenchmarkWEPSealOpen|BenchmarkStackTxn|BenchmarkARQ"
 
+// The one configuration the committed baseline was recorded in: a fixed
+// iteration count gives every run the same b.N, so per-op figures that
+// amortise set-up (allocs/op above all) match the baseline's, and the
+// fastest of three repeats damps scheduler noise.
+const (
+	benchtime = "1000x"
+	count     = 3
+	pkg       = "./..."
+	// threshold is the ns/op gate and the MB/s and rate drop gate, as
+	// a fraction of the baseline.
+	threshold = 0.30
+)
+
 func main() {
 	benchRe := flag.String("bench", rungs, "benchmark regexp passed to go test -bench; the default is the gated rung list")
-	benchtime := flag.String("benchtime", "1s", "per-benchmark budget passed to go test -benchtime")
-	pkg := flag.String("pkg", "./...", "package pattern to benchmark")
-	out := flag.String("out", "", "write the snapshot JSON here (default bench/BENCH_<date>.json; '-' for stdout only)")
-	baseline := flag.String("baseline", "", "baseline snapshot to compare against (empty: record only)")
-	threshold := flag.Float64("threshold", 0.30, "fail when ns/op grows more than this fraction over baseline")
-	count := flag.Int("count", 1, "go test -count, for noise averaging")
-	historyPath := flag.String("history", "bench/history.jsonl", "append a run record to this JSONL history ('' to skip)")
-	journalPath := flag.String("journal", "", "run journal JSONL whose fired-SLO count the snapshot records")
+	out := flag.String("out", "", "write the snapshot JSON here (empty: write no file)")
+	baseline := flag.String("baseline", "", "baseline snapshot to compare against (empty: print the run)")
 	flag.Parse()
 
-	snap, raw, err := run(*benchRe, *benchtime, *pkg, *count)
+	snap, raw, err := run(*benchRe)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchreg: %v\n%s", err, raw)
 		os.Exit(1)
@@ -92,42 +92,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchreg: no benchmarks matched %q\n", *benchRe)
 		os.Exit(1)
 	}
-	if *journalPath != "" {
-		n, err := countSLOFired(*journalPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreg: %v\n", err)
-			os.Exit(1)
-		}
-		snap.SLOFired = n
-	}
 
-	path := *out
-	if path == "" {
-		path = fmt.Sprintf("bench/BENCH_%s.json", snap.Date)
-	}
-	if path != "-" {
-		if err := checkOverwrite(path, snap); err != nil {
+	if *out != "" {
+		if err := checkOverwrite(*out, snap); err != nil {
 			fmt.Fprintf(os.Stderr, "benchreg: %v\n", err)
 			os.Exit(1)
 		}
-		if dir := filepath.Dir(path); dir != "." {
+		if dir := filepath.Dir(*out); dir != "." {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				fmt.Fprintf(os.Stderr, "benchreg: %v\n", err)
 				os.Exit(1)
 			}
 		}
 		blob, _ := json.MarshalIndent(snap, "", "  ")
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "benchreg: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("recorded %d benchmarks -> %s\n", len(snap.Results), path)
-	}
-	if *historyPath != "" {
-		if err := history.Append(*historyPath, historyRecord(snap)); err != nil {
-			fmt.Fprintf(os.Stderr, "benchreg: history: %v\n", err)
-			os.Exit(1)
-		}
+		fmt.Printf("recorded %d benchmarks -> %s\n", len(snap.Results), *out)
 	}
 
 	if *baseline == "" {
@@ -139,13 +121,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchreg: baseline: %v\n", err)
 		os.Exit(1)
 	}
-	if failed := compare(base, snap, *threshold); failed {
+	if failed := compare(base, snap); failed {
 		os.Exit(1)
 	}
 }
 
 // run executes the benchmark suite and parses its output.
-func run(benchRe, benchtime, pkg string, count int) (*Snapshot, string, error) {
+func run(benchRe string) (*Snapshot, string, error) {
 	args := []string{"test", "-run", "^$", "-bench", benchRe,
 		"-benchtime", benchtime, "-benchmem", "-count", strconv.Itoa(count), pkg}
 	cmd := exec.Command("go", args...)
@@ -154,21 +136,20 @@ func run(benchRe, benchtime, pkg string, count int) (*Snapshot, string, error) {
 	cmd.Stderr = &buf
 	runErr := cmd.Run()
 	snap := &Snapshot{
-		Date:        history.Today(),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		BenchTime:   benchtime,
-		NumCPU:      runtime.NumCPU(),
-		Commit:      history.Commit(),
-		Fingerprint: configFingerprint(benchtime, pkg, count),
-		Results:     map[string]Result{},
+		Date:      time.Now().UTC().Format("2006-01-02"),
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		BenchTime: benchtime,
+		NumCPU:    runtime.NumCPU(),
+		Commit:    commit(),
+		Results:   map[string]Result{},
 	}
 	sc := bufio.NewScanner(&buf)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		if name, r, ok := parseLine(sc.Text()); ok {
-			// -count > 1 repeats lines; keep the fastest (least noisy) run.
+			// -count repeats each line; keep the fastest (least noisy) run.
 			if prev, dup := snap.Results[name]; !dup || r.NsPerOp < prev.NsPerOp {
 				snap.Results[name] = r
 			}
@@ -180,11 +161,14 @@ func run(benchRe, benchtime, pkg string, count int) (*Snapshot, string, error) {
 	return snap, buf.String(), nil
 }
 
-// configFingerprint identifies the settings that change a benchmark's
-// numbers. The -bench regexp only picks which benchmarks run, so it is
-// left out: widening the list keeps one history series per setting.
-func configFingerprint(benchtime, pkg string, count int) string {
-	return history.Fingerprint(benchtime, pkg, strconv.Itoa(count), runtime.GOOS, runtime.GOARCH)
+// commit returns the abbreviated git HEAD of the working directory, or
+// "unknown" when git (or the repository) is unavailable.
+func commit() string {
+	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // parseLine parses a `go test -bench` result line such as
@@ -230,41 +214,6 @@ func parseLine(line string) (string, Result, bool) {
 		}
 	}
 	return name, r, seen
-}
-
-// countSLOFired counts the slo_fired events in a run journal.
-func countSLOFired(path string) (int, error) {
-	events, _, err := journal.LoadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range events {
-		if e.Layer == "slo" && e.Name == "slo_fired" {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// historyRecord condenses a snapshot for the cross-run record book:
-// per-benchmark ns/op as headline figures, keyed without the
-// "Benchmark" prefix, plus the fired-SLO count.
-func historyRecord(s *Snapshot) history.Record {
-	head := make(map[string]float64, len(s.Results)+1)
-	for name, r := range s.Results {
-		head[strings.TrimPrefix(name, "Benchmark")+"_ns_per_op"] = r.NsPerOp
-	}
-	head["slo_fired"] = float64(s.SLOFired)
-	return history.Record{
-		Date:        s.Date,
-		Source:      "benchreg",
-		Commit:      s.Commit,
-		GoVersion:   s.GoVersion,
-		NumCPU:      s.NumCPU,
-		Fingerprint: s.Fingerprint,
-		Headline:    head,
-	}
 }
 
 // checkOverwrite refuses to replace the snapshot at path with snap when
@@ -333,10 +282,10 @@ type regression struct {
 }
 
 // compare reports each benchmark's delta against the baseline and returns
-// true when any ns/op regression exceeds the threshold. On failure it
+// true when any metric regresses past its gate. On failure it
 // prints a dedicated regression table (worst first) so CI logs name the
 // offenders without scrolling the full comparison.
-func compare(base, cur *Snapshot, threshold float64) bool {
+func compare(base, cur *Snapshot) bool {
 	names := make([]string, 0, len(base.Results))
 	for n := range base.Results {
 		names = append(names, n)
@@ -404,26 +353,17 @@ func compare(base, cur *Snapshot, threshold float64) bool {
 	if extra > 0 {
 		fmt.Printf("  (%d benchmarks not in baseline; record a new baseline to track them)\n", extra)
 	}
-	// The SLO budget is part of the regression contract: a run that fires
-	// more rules than its baseline regressed even if every ns/op held.
-	if cur.SLOFired > base.SLOFired {
-		fmt.Printf("  %-50s %14d -> %14d fired  REGRESSION\n", "SLO rules", base.SLOFired, cur.SLOFired)
-		regs = append(regs, regression{name: "SLO rules fired", unit: "fired", baseNs: float64(base.SLOFired),
-			curNs: float64(cur.SLOFired), delta: float64(cur.SLOFired - base.SLOFired), baseDate: base.Date})
-	} else if base.SLOFired > 0 || cur.SLOFired > 0 {
-		fmt.Printf("  %-50s %14d -> %14d fired  ok\n", "SLO rules", base.SLOFired, cur.SLOFired)
-	}
 	if len(regs) == 0 {
 		fmt.Println("benchreg: PASS")
 		return false
 	}
-	printRegressionTable(regs, threshold)
+	printRegressionTable(regs)
 	return true
 }
 
 // printRegressionTable summarizes only the failing benchmarks, sorted by
 // how far past the threshold each one landed.
-func printRegressionTable(regs []regression, threshold float64) {
+func printRegressionTable(regs []regression) {
 	sort.Slice(regs, func(i, j int) bool {
 		// Missing benchmarks sort first — they are the hardest failures.
 		if regs[i].missing != regs[j].missing {

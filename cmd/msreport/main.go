@@ -1,13 +1,12 @@
 // msreport turns the run artifacts the other cmds write — energy/cycle
-// profiles (-profile), distributed span traces (-dtrace, repeatable:
+// profiles (-profile) and distributed span traces (-dtrace, repeatable:
 // the msload and msgateway halves of a soak merge into end-to-end
-// traces) and the cross-run history book — into human-facing views: a
-// self-contained HTML report (inline SVG flame graphs, per-session span
-// waterfalls with critical-path attribution, layer-cost tables, history
-// trend sparklines; no external assets, no scripts), a folded-stack
-// text file for standard flamegraph tooling, and a pprof-style top
-// table on stdout. Metric snapshots, series and journals are JSON
-// already and are read as they are.
+// traces) — into human-facing views: a self-contained HTML report
+// (inline SVG flame graphs, per-session span waterfalls with
+// critical-path attribution, layer-cost tables; no external assets, no
+// scripts), a folded-stack text file for standard flamegraph tooling,
+// and a pprof-style top table on stdout. Metric snapshots, series and
+// journals are JSON already and are read as they are.
 //
 // Typical flow:
 //
@@ -27,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/obs/history"
 	"repro/internal/obs/prof"
 	"repro/internal/obs/report"
 )
@@ -57,15 +55,14 @@ func run(args []string, stdout io.Writer) error {
 	fs.Var(&profilePaths, "profile", "energy/cycle profile JSON to include (repeatable; multiple merge)")
 	var dtracePaths multiFlag
 	fs.Var(&dtracePaths, "dtrace", "distributed span trace JSONL to include (repeatable; client and server files merge into end-to-end traces)")
-	historyPath := fs.String("history", "", "cross-run history JSONL to render trends from (e.g. bench/history.jsonl)")
 	htmlPath := fs.String("html", "", "write the self-contained HTML report here")
 	foldedPath := fs.String("folded", "", "write folded stacks (flamegraph.pl/speedscope input) here")
 	weight := fs.String("weight", "auto", "weight for folded/top views: cycles, energy or auto")
 	title := fs.String("title", "mobilesec run report", "report title")
 	_ = fs.Parse(args)
 
-	if len(profilePaths) == 0 && len(dtracePaths) == 0 && *historyPath == "" {
-		return fmt.Errorf("nothing to report: give at least one of -profile, -dtrace, -history")
+	if len(profilePaths) == 0 && len(dtracePaths) == 0 {
+		return fmt.Errorf("nothing to report: give at least one of -profile, -dtrace")
 	}
 
 	var merged *prof.Profile
@@ -97,19 +94,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	var records []history.Record
-	if *historyPath != "" {
-		var err error
-		var skipped int
-		records, skipped, err = history.Load(*historyPath)
-		if err != nil {
-			return err
-		}
-		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "msreport: %s: skipped %d malformed history record(s)\n", *historyPath, skipped)
-		}
-	}
-
 	by := prof.Cycles
 	if merged != nil {
 		var err error
@@ -129,7 +113,6 @@ func run(args []string, stdout io.Writer) error {
 			Profile:      merged,
 			Spans:        spans,
 			SpansSkipped: spansSkipped,
-			History:      records,
 		})
 		if cerr := f.Close(); werr == nil {
 			werr = cerr

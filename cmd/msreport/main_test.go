@@ -21,12 +21,6 @@ const (
 	// The gateway half, parented on the client's handshake span.
 	serverSpans = `{"trace":"00000000000000a1","span":"0000000000000c01","parent":"0000000000000b02","ord":0,"proc":"msgateway","layer":"gateway","name":"session","start_us":5000,"dur_us":50}
 `
-	// The first run has another configuration fingerprint, so its
-	// 900000 must stay out of the trend: Δ is 264830 → 250000 only.
-	historyJSONL = `{"date":"2026-08-06","source":"benchreg","commit":"fff0000","go_version":"go1.22","num_cpu":2,"config_fingerprint":"111111111111","headline":{"ModExp512_ns_per_op":900000,"slo_fired":0}}
-{"date":"2026-08-07","source":"benchreg","commit":"aaa1111","go_version":"go1.22","num_cpu":2,"config_fingerprint":"222222222222","headline":{"ModExp512_ns_per_op":264830,"slo_fired":0}}
-{"date":"2026-08-08","source":"benchreg","commit":"bbb2222","go_version":"go1.22","num_cpu":2,"config_fingerprint":"222222222222","headline":{"ModExp512_ns_per_op":250000,"slo_fired":0}}
-`
 )
 
 // TestRun drives run() as the command line does and checks the HTML
@@ -44,7 +38,6 @@ func TestRun(t *testing.T) {
 	profile := write("run.prof.json", profileJSON)
 	client := write("load.dtrace.jsonl", clientSpans)
 	server := write("gw.dtrace.jsonl", serverSpans)
-	hist := write("history.jsonl", historyJSONL)
 
 	cases := []struct {
 		name      string
@@ -52,13 +45,12 @@ func TestRun(t *testing.T) {
 		inHTML    []string // HTML fragments that must appear
 		absent    []string // and ones that must not
 		stdout    []string // exact stdout lines that must appear
-		noStdout  bool     // stdout must stay empty
 		foldedHas string   // a line the -folded file must hold ("" = no -folded)
 	}{{
 		name:      "profile",
 		args:      []string{"-profile", profile, "-weight", "energy"},
 		inHTML:    []string{"<h2>Energy / cycle profile</h2>", "<h3>Flame graph — energy (µJ)</h3>"},
-		absent:    []string{"<h2>Distributed traces</h2>", "<h2>Cross-run history</h2>"},
+		absent:    []string{"<h2>Distributed traces</h2>"},
 		stdout:    []string{"profile: 2 frames, 4700 instr, 5200 µJ (top by energy)"},
 		foldedHas: "core.BatteryFigure;radio.txrx 3800",
 	}, {
@@ -74,15 +66,6 @@ func TestRun(t *testing.T) {
 		args:   []string{"-dtrace", client},
 		inHTML: []string{"<h2>Distributed traces</h2>"},
 		stdout: []string{"dtrace: traces=1 spans=3 merged=0 coverage_ge95=1 min_coverage=1.000"},
-	}, {
-		name: "history",
-		args: []string{"-history", hist},
-		inHTML: []string{"<h2>Cross-run history</h2>", "<h3>Headline trends</h3>", "<h3>Runs</h3>",
-			"<td>2.648e+05</td><td>2.5e+05</td><td>-5.6%</td>",
-			"1 run(s) with another configuration are left out",
-			"<td>fff0000</td>"}, // the Runs table still lists every run
-		absent:   []string{"Per-layer energy", "9e+05"},
-		noStdout: true,
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,9 +105,6 @@ func TestRun(t *testing.T) {
 					t.Errorf("stdout lacks line %q:\n%s", want, stdout.String())
 				}
 			}
-			if tc.noStdout && stdout.Len() != 0 {
-				t.Errorf("stdout = %q, want empty", stdout.String())
-			}
 			if folded != "" {
 				blob, err := os.ReadFile(folded)
 				if err != nil {
@@ -142,7 +122,7 @@ func TestRun(t *testing.T) {
 func TestRunNeedsInput(t *testing.T) {
 	var stdout strings.Builder
 	err := run([]string{"-html", filepath.Join(t.TempDir(), "r.html")}, &stdout)
-	if err == nil || !strings.Contains(err.Error(), "nothing to report") {
+	if err == nil || !strings.Contains(err.Error(), "nothing to report: give at least one of -profile, -dtrace") {
 		t.Fatalf("run without inputs: err = %v", err)
 	}
 }

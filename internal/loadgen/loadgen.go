@@ -428,7 +428,7 @@ func (r *Runner) attempt(id, attempt int, st *sessionStats, root *obs.DSpan) err
 		return fmt.Errorf("handshake: %w", err)
 	}
 	hs := time.Since(start)
-	hHandshake.ObserveEx(hs.Nanoseconds(), asp.TraceID())
+	hHandshake.Observe(hs.Nanoseconds())
 	st.handshakeUS = hs.Microseconds()
 	state := tc.State()
 	st.resumed = state.Resumed
@@ -484,7 +484,7 @@ func (r *Runner) attempt(id, attempt int, st *sessionStats, root *obs.DSpan) err
 		rtt := time.Since(t0)
 		esp.SetN(int64(burst) * int64(r.cfg.Payload))
 		esp.End()
-		hRecordRTT.ObserveEx(rtt.Nanoseconds(), esp.TraceID())
+		hRecordRTT.Observe(rtt.Nanoseconds())
 		st.records += int64(burst)
 		st.bytes += int64(burst) * int64(r.cfg.Payload)
 		r.records.Add(int64(burst))

@@ -320,27 +320,3 @@ func TestTraceCountersInSnapshot(t *testing.T) {
 		}
 	}
 }
-
-func TestHistogramExemplars(t *testing.T) {
-	r := NewRegistry()
-	r.SetEnabled(true)
-	h := r.Histogram("t.lat", []int64{10, 100})
-	h.Observe(5) // no exemplar
-	snap := r.Snapshot()
-	if snap.Histograms[0].Exemplars != nil {
-		t.Fatal("exemplars present without any ObserveEx")
-	}
-	h.ObserveEx(50, 0xabcd) // second bucket
-	h.ObserveEx(7, 0)       // zero trace: counted, no exemplar
-	snap = r.Snapshot()
-	ex := snap.Histograms[0].Exemplars
-	if ex == nil {
-		t.Fatal("exemplars missing after ObserveEx")
-	}
-	if ex[0] != "" || ex[1] != TraceHex(0xabcd) || ex[2] != "" {
-		t.Fatalf("unexpected exemplars %q", ex)
-	}
-	if snap.Histograms[0].Count != 3 {
-		t.Fatalf("count %d, want 3", snap.Histograms[0].Count)
-	}
-}

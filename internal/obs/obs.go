@@ -120,11 +120,10 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 		copy(bs, bounds)
 		sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
 		h = &Histogram{
-			name:     name,
-			armed:    &r.armed,
-			bounds:   bs,
-			counts:   make([]atomic.Int64, len(bs)+1),
-			exemplar: make([]atomic.Uint64, len(bs)+1),
+			name:   name,
+			armed:  &r.armed,
+			bounds: bs,
+			counts: make([]atomic.Int64, len(bs)+1),
 		}
 		r.histograms[name] = h
 	}
@@ -186,13 +185,12 @@ func (g *Gauge) Value() float64 {
 // is fixed and counts are order-independent, a concurrent sweep yields
 // the same exported histogram regardless of worker interleaving.
 type Histogram struct {
-	name     string
-	armed    *atomic.Bool
-	bounds   []int64 // ascending upper bounds; counts has one extra +Inf slot
-	counts   []atomic.Int64
-	exemplar []atomic.Uint64 // last trace ID that landed in each bucket
-	count    atomic.Int64
-	sum      atomic.Int64
+	name   string
+	armed  *atomic.Bool
+	bounds []int64 // ascending upper bounds; counts has one extra +Inf slot
+	counts []atomic.Int64
+	count  atomic.Int64
+	sum    atomic.Int64
 }
 
 // Observe records one sample when the registry is armed. Safe on a nil
@@ -205,24 +203,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// ObserveEx records one sample and, when trace is nonzero, stamps it
-// as the bucket's exemplar: the trace ID of the most recent session
-// that landed there, linking a histogram tail (say the p99 bucket of
-// load.handshake_ns) to a concrete trace the waterfall panel can open.
-// Last-writer-wins by design — an exemplar is a witness, not a count.
-func (h *Histogram) ObserveEx(v int64, trace uint64) {
-	if h == nil || !h.armed.Load() {
-		return
-	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	if trace != 0 {
-		h.exemplar[i].Store(trace)
-	}
 }
 
 // Count returns the number of samples observed (0 on a nil handle).
@@ -266,10 +246,6 @@ type HistogramValue struct {
 	P99    int64   `json:"p99"`
 	Bounds []int64 `json:"bounds"`
 	Counts []int64 `json:"counts"`
-	// Exemplars[i] is the hex trace ID of the last traced session that
-	// landed in Counts[i] ("" when none); omitted entirely when no
-	// bucket has one, so untraced runs serialize exactly as before.
-	Exemplars []string `json:"exemplars,omitempty"`
 }
 
 // BucketQuantile returns the nearest-rank q-quantile of a fixed-bucket
@@ -358,21 +334,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		for i := range h.counts {
 			hv.Counts = append(hv.Counts, h.counts[i].Load())
-		}
-		any := false
-		for i := range h.exemplar {
-			if h.exemplar[i].Load() != 0 {
-				any = true
-				break
-			}
-		}
-		if any {
-			hv.Exemplars = make([]string, len(h.exemplar))
-			for i := range h.exemplar {
-				if id := h.exemplar[i].Load(); id != 0 {
-					hv.Exemplars[i] = TraceHex(id)
-				}
-			}
 		}
 		hv.P50 = BucketQuantile(hv.Bounds, hv.Counts, 0.50)
 		hv.P95 = BucketQuantile(hv.Bounds, hv.Counts, 0.95)

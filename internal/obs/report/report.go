@@ -1,10 +1,10 @@
 // Package report renders the observability layer's run artifacts that
-// no other surface draws — energy/cycle profiles, span waterfalls and
-// cross-run history — into a single self-contained HTML document:
-// inline CSS, inline SVG flame graphs and sparklines, zero external
-// assets, zero scripts. The output is deterministic for deterministic
-// inputs (everything is sorted, nothing reads a clock), so CI can
-// byte-compare reports across sweep worker counts.
+// no other surface draws — energy/cycle profiles and span waterfalls —
+// into a single self-contained HTML document: inline CSS, inline SVG
+// flame graphs, zero external assets, zero scripts. The output is
+// deterministic for deterministic inputs (everything is sorted, nothing
+// reads a clock), so CI can byte-compare reports across sweep worker
+// counts.
 package report
 
 import (
@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/obs/history"
 	"repro/internal/obs/prof"
 )
 
@@ -29,7 +28,6 @@ type Data struct {
 	// malformed lines the loader dropped.
 	Spans        []obs.SpanRec
 	SpansSkipped int
-	History      []history.Record
 }
 
 // topN is the row count of every top table.
@@ -52,9 +50,6 @@ func HTML(w io.Writer, d Data) error {
 	}
 	if len(d.Spans) > 0 || d.SpansSkipped > 0 {
 		writeSpanSection(&b, d.Spans, d.SpansSkipped)
-	}
-	if len(d.History) > 0 {
-		writeHistorySection(&b, d.History)
 	}
 	b.WriteString("</body>\n</html>\n")
 	_, err := io.WriteString(w, b.String())
@@ -242,104 +237,6 @@ func writeTopTable(b *strings.Builder, p *prof.Profile, by prof.Weight) {
 		}
 		fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%.1f%%</td></tr>\n",
 			html.EscapeString(r.Name), flat, cum, r.CumFraction*100)
-	}
-	b.WriteString("</table>\n")
-}
-
-// ---- history ----------------------------------------------------------
-
-// sparkline renders values as a small inline polyline, oldest first.
-func sparkline(values []float64) string {
-	const w, h = 150.0, 26.0
-	if len(values) == 0 {
-		return ""
-	}
-	lo, hi := values[0], values[0]
-	for _, v := range values {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	span := hi - lo
-	var pts []string
-	for i, v := range values {
-		x := w * float64(i) / float64(max(len(values)-1, 1))
-		y := h / 2
-		if span > 0 {
-			y = h - 3 - (v-lo)/span*(h-6)
-		}
-		pts = append(pts, fmt.Sprintf("%.1f,%.1f", x, y))
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "<svg viewBox=\"0 0 %.0f %.0f\" width=\"%.0f\" height=\"%.0f\" style=\"display:inline-block;vertical-align:middle\">", w, h, w, h)
-	if len(values) == 1 {
-		fmt.Fprintf(&b, "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"2.5\" fill=\"#2b6cb0\"/>", w/2, h/2)
-	} else {
-		fmt.Fprintf(&b, "<polyline points=\"%s\" fill=\"none\" stroke=\"#2b6cb0\" stroke-width=\"1.5\"/>", strings.Join(pts, " "))
-		last := strings.Split(pts[len(pts)-1], ",")
-		fmt.Fprintf(&b, "<circle cx=\"%s\" cy=\"%s\" r=\"2.5\" fill=\"#d9534f\"/>", last[0], last[1])
-	}
-	b.WriteString("</svg>")
-	return b.String()
-}
-
-// writeHistorySection draws a trend per headline figure over the runs
-// that share the newest run's configuration fingerprint and core count
-// (records from different setups are not comparable), and lists every
-// run.
-func writeHistorySection(b *strings.Builder, records []history.Record) {
-	newest := records[len(records)-1]
-	var trend []history.Record
-	for _, r := range records {
-		if r.Fingerprint == newest.Fingerprint && r.NumCPU == newest.NumCPU {
-			trend = append(trend, r)
-		}
-	}
-	b.WriteString("<h2>Cross-run history</h2>\n")
-	fmt.Fprintf(b, "<p class=\"note\">%d recorded runs (oldest first). Trends plot each headline figure across the %d run(s) "+
-		"with the newest run's configuration (fingerprint %s, num_cpu %d); %d run(s) with another configuration are left out.</p>\n",
-		len(records), len(trend), html.EscapeString(newest.Fingerprint), newest.NumCPU, len(records)-len(trend))
-
-	// Trend table: one row per headline key seen in a trended run.
-	keys := map[string]bool{}
-	for _, r := range trend {
-		for k := range r.Headline {
-			keys[k] = true
-		}
-	}
-	var names []string
-	for k := range keys {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	if len(names) > 0 {
-		b.WriteString("<h3>Headline trends</h3>\n<table><tr><th>figure</th><th>trend</th><th>first</th><th>last</th><th>Δ</th></tr>\n")
-		for _, k := range names {
-			var vals []float64
-			for _, r := range trend {
-				if v, ok := r.Headline[k]; ok {
-					vals = append(vals, v)
-				}
-			}
-			first, last := vals[0], vals[len(vals)-1]
-			delta := "–"
-			if first != 0 {
-				delta = fmt.Sprintf("%+.1f%%", (last-first)/first*100)
-			}
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td>%.4g</td><td>%.4g</td><td>%s</td></tr>\n",
-				html.EscapeString(k), sparkline(vals), first, last, delta)
-		}
-		b.WriteString("</table>\n")
-	}
-
-	b.WriteString("<h3>Runs</h3>\n<table><tr><th>date</th><th>source</th><th>commit</th><th>go</th><th>seed</th><th>config</th></tr>\n")
-	for _, r := range records {
-		fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
-			html.EscapeString(r.Date), html.EscapeString(r.Source), html.EscapeString(r.Commit),
-			html.EscapeString(r.GoVersion), html.EscapeString(r.Seed), html.EscapeString(r.Fingerprint))
 	}
 	b.WriteString("</table>\n")
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs/history"
 	"repro/internal/obs/prof"
 )
 
@@ -16,12 +15,6 @@ func fullData() Data {
 			{Path: "core.BatteryFigure/mp.ModExpWindow", EnergyUJ: 14_000_000_000, Cycles: 47_000_000},
 			{Path: "core.BatteryFigure/radio.txrx", EnergyUJ: 38_000_000_000},
 		}},
-		History: []history.Record{
-			{Date: "2026-08-01", Source: "benchreg", Commit: "aaa", GoVersion: "go1.22",
-				Headline: map[string]float64{"ModExp512_ns_per_op": 264830}},
-			{Date: "2026-08-06", Source: "benchreg", Commit: "bbb", GoVersion: "go1.22",
-				Headline: map[string]float64{"ModExp512_ns_per_op": 250000}},
-		},
 	}
 }
 
@@ -38,9 +31,6 @@ func TestHTMLAllSections(t *testing.T) {
 		"mp.ModExpWindow",
 		"radio.txrx",
 		"<svg class=\"flame\"",
-		"Cross-run history",
-		"ModExp512_ns_per_op",
-		"<polyline",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("report missing %q", want)
@@ -73,7 +63,7 @@ func TestHTMLEmptySectionsOmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := buf.String()
-	for _, absent := range []string{"Energy / cycle profile", "Distributed traces", "Cross-run history"} {
+	for _, absent := range []string{"Energy / cycle profile", "Distributed traces"} {
 		if strings.Contains(doc, absent) {
 			t.Errorf("empty report contains section %q", absent)
 		}
@@ -102,14 +92,5 @@ func TestFlameWidthsProportional(t *testing.T) {
 	// a occupies 75% of 1180 = 885, b 25% = 295.
 	if !strings.Contains(svg, "width=\"885.00\"") || !strings.Contains(svg, "width=\"295.00\"") {
 		t.Fatalf("flame widths not proportional:\n%s", svg)
-	}
-}
-
-func TestSparklineSinglePoint(t *testing.T) {
-	if s := sparkline([]float64{1}); !strings.Contains(s, "<circle") || strings.Contains(s, "<polyline") {
-		t.Fatalf("single-point sparkline = %q", s)
-	}
-	if s := sparkline(nil); s != "" {
-		t.Fatalf("empty sparkline = %q", s)
 	}
 }

@@ -116,6 +116,3 @@ func TestHTMLWaterfallCap(t *testing.T) {
 		t.Error("cap note missing")
 	}
 }
-
-// TestHTMLExemplarColumn: histograms with exemplars grow a column
-// linking the slowest bucket to a trace ID.

@@ -3,13 +3,12 @@ package wtls
 import (
 	"container/list"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// mSessionEvictions counts sessions dropped by LRU pressure or TTL
-// expiry (not overwrites of an existing key).
+// mSessionEvictions counts sessions dropped by LRU pressure (not
+// overwrites of an existing key).
 var mSessionEvictions = obs.C("wtls.session_evictions")
 
 // sessionShards stripes the cache locks. A gateway resuming millions of
@@ -26,12 +25,9 @@ const DefaultSessionCacheEntries = 4096
 
 // SessionCache stores resumable sessions, keyed by server name on
 // clients and by session ID on servers. It is sharded by key hash with
-// per-shard locks, and bounds its size (LRU eviction) and optionally
-// its entry age (TTL).
+// per-shard locks, and bounds its size (LRU eviction).
 type SessionCache struct {
-	shardCap int           // LRU bound per shard
-	ttl      time.Duration // 0 = no expiry
-	now      func() time.Time
+	shardCap int // LRU bound per shard
 	shards   [sessionShards]sessionShard
 }
 
@@ -42,31 +38,25 @@ type sessionShard struct {
 }
 
 type sessionEntry struct {
-	key     string
-	s       *session
-	savedAt time.Time
+	key string
+	s   *session
 }
 
 // NewSessionCache creates a session cache holding at most
-// DefaultSessionCacheEntries sessions, with no TTL.
+// DefaultSessionCacheEntries sessions.
 func NewSessionCache() *SessionCache {
-	return NewSessionCacheSized(0, 0)
+	return newSessionCache(DefaultSessionCacheEntries)
 }
 
-// NewSessionCacheSized creates a session cache holding at most
-// maxEntries sessions (DefaultSessionCacheEntries when maxEntries <= 0),
-// each resumable for at most ttl after it was stored (0 = forever).
-// Exceeding the cap evicts the least recently used entry of the key's
-// shard; each shard holds maxEntries/sessionShards, rounded up.
-func NewSessionCacheSized(maxEntries int, ttl time.Duration) *SessionCache {
+// newSessionCache creates a session cache holding at most maxEntries
+// sessions (DefaultSessionCacheEntries when maxEntries <= 0). Exceeding
+// the cap evicts the least recently used entry of the key's shard; each
+// shard holds maxEntries/sessionShards, rounded up.
+func newSessionCache(maxEntries int) *SessionCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultSessionCacheEntries
 	}
-	sc := &SessionCache{
-		shardCap: (maxEntries + sessionShards - 1) / sessionShards,
-		ttl:      ttl,
-		now:      time.Now,
-	}
+	sc := &SessionCache{shardCap: (maxEntries + sessionShards - 1) / sessionShards}
 	for i := range sc.shards {
 		sc.shards[i].m = make(map[string]*list.Element)
 	}
@@ -90,11 +80,10 @@ func (sc *SessionCache) put(key string, s *session) {
 	if el, ok := sh.m[key]; ok {
 		ent := el.Value.(*sessionEntry)
 		ent.s = s
-		ent.savedAt = sc.now()
 		sh.lru.MoveToFront(el)
 		return
 	}
-	sh.m[key] = sh.lru.PushFront(&sessionEntry{key: key, s: s, savedAt: sc.now()})
+	sh.m[key] = sh.lru.PushFront(&sessionEntry{key: key, s: s})
 	if sh.lru.Len() > sc.shardCap {
 		oldest := sh.lru.Back()
 		ent := oldest.Value.(*sessionEntry)
@@ -112,20 +101,11 @@ func (sc *SessionCache) get(key string) *session {
 	if !ok {
 		return nil
 	}
-	ent := el.Value.(*sessionEntry)
-	if sc.ttl > 0 && sc.now().Sub(ent.savedAt) >= sc.ttl {
-		sh.lru.Remove(el)
-		delete(sh.m, key)
-		mSessionEvictions.Inc()
-		return nil
-	}
 	sh.lru.MoveToFront(el)
-	return ent.s
+	return el.Value.(*sessionEntry).s
 }
 
-// Size reports the number of cached sessions. Expired entries that have
-// not been touched since their TTL elapsed still count; they are
-// reclaimed lazily on access.
+// Size reports the number of cached sessions.
 func (sc *SessionCache) Size() int {
 	n := 0
 	for i := range sc.shards {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/crypto/prng"
 	"repro/internal/obs"
@@ -48,7 +47,7 @@ func TestSessionCachePutGetOverwrite(t *testing.T) {
 
 func TestSessionCacheLRUEviction(t *testing.T) {
 	// Total cap 2*sessionShards → per-shard LRU depth 2.
-	sc := NewSessionCacheSized(2*sessionShards, 0)
+	sc := newSessionCache(2 * sessionShards)
 	keys := sameShardKeys(sc, 4)
 
 	sc.put(keys[0], testSession(0))
@@ -75,55 +74,23 @@ func TestSessionCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestSessionCacheTTL(t *testing.T) {
-	now := time.Unix(1000, 0)
-	sc := NewSessionCacheSized(0, time.Minute)
-	sc.now = func() time.Time { return now }
-
-	sc.put("k", testSession(1))
-	now = now.Add(59 * time.Second)
-	if sc.get("k") == nil {
-		t.Fatal("entry expired before its TTL")
-	}
-	// get does not extend the TTL — savedAt is the put time.
-	now = now.Add(2 * time.Second)
-	if sc.get("k") != nil {
-		t.Fatal("entry survived past its TTL")
-	}
-	if sc.Size() != 0 {
-		t.Fatalf("expired entry still counted: Size=%d", sc.Size())
-	}
-	// A fresh put under the same key restarts the clock.
-	sc.put("k", testSession(2))
-	if sc.get("k") == nil {
-		t.Fatal("re-put entry missing")
-	}
-}
-
 func TestSessionCacheEvictionMetric(t *testing.T) {
 	obs.Default.SetEnabled(true)
 	defer obs.Default.SetEnabled(false)
 	before := mSessionEvictions.Value()
 
-	sc := NewSessionCacheSized(sessionShards, 0) // per-shard depth 1
+	sc := newSessionCache(sessionShards) // per-shard depth 1
 	keys := sameShardKeys(sc, 3)
 	sc.put(keys[0], testSession(0))
 	sc.put(keys[1], testSession(1)) // LRU-evicts keys[0]
 
-	ttl := NewSessionCacheSized(0, time.Millisecond)
-	now := time.Unix(0, 0)
-	ttl.now = func() time.Time { return now }
-	ttl.put("t", testSession(2))
-	now = now.Add(time.Second)
-	ttl.get("t") // TTL-evicts
-
-	if got := mSessionEvictions.Value() - before; got != 2 {
-		t.Fatalf("eviction counter moved by %d, want 2", got)
+	if got := mSessionEvictions.Value() - before; got != 1 {
+		t.Fatalf("eviction counter moved by %d, want 1", got)
 	}
 }
 
 func TestSessionCacheConcurrent(t *testing.T) {
-	sc := NewSessionCacheSized(256, 50*time.Millisecond)
+	sc := newSessionCache(256)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -149,8 +116,8 @@ func TestSessionCacheConcurrent(t *testing.T) {
 // abbreviated handshake end to end, including a Size that tracks both
 // sides' entries.
 func TestSessionCacheResumptionSemantics(t *testing.T) {
-	clientCache := NewSessionCacheSized(1024, time.Hour)
-	serverCache := NewSessionCacheSized(1024, time.Hour)
+	clientCache := newSessionCache(1024)
+	serverCache := newSessionCache(1024)
 	run := func() *Conn {
 		scfg := serverConfig(t)
 		scfg.SessionCache = serverCache
@@ -180,8 +147,8 @@ func TestSessionCacheBoundedByDefault(t *testing.T) {
 		sc   *SessionCache
 	}{
 		{"NewSessionCache()", NewSessionCache()},
-		{"NewSessionCacheSized(0, time.Minute)", NewSessionCacheSized(0, time.Minute)},
-		{"NewSessionCacheSized(-1, 0)", NewSessionCacheSized(-1, 0)},
+		{"newSessionCache(0)", newSessionCache(0)},
+		{"newSessionCache(-1)", newSessionCache(-1)},
 	} {
 		for i := 0; i < 3*DefaultSessionCacheEntries; i++ {
 			tc.sc.put(fmt.Sprintf("server:%d", i), testSession(byte(i)))

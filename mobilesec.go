@@ -246,12 +246,8 @@ var (
 	// NewCA creates a certificate authority.
 	NewCA = wtls.NewCA
 	// NewSessionCache creates a resumption cache with the default LRU
-	// entry cap and no TTL.
+	// entry cap.
 	NewSessionCache = wtls.NewSessionCache
-	// NewSessionCacheSized creates a resumption cache with an LRU entry
-	// cap (the default cap when it is not positive) and a TTL (zero for
-	// no expiry).
-	NewSessionCacheSized = wtls.NewSessionCacheSized
 	// WTLSClient wraps a transport as a WTLS client.
 	WTLSClient = wtls.Client
 	// WTLSServer wraps a transport as a WTLS server.
